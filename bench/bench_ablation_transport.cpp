@@ -93,35 +93,10 @@ void BM_SocketRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_SocketRoundTrip)->Arg(10000)->Arg(100000)->Unit(benchmark::kMillisecond);
 
-// ----------------------------------------- zero-copy hand-off ablation
-// Before/after comparison for the zero-copy data plane: the legacy path
-// serializes into a contiguous vector and copies it through the queue;
-// the zero-copy path hands segment lists across with the dataset as
+// ------------------------------------------------ zero-copy hand-off
+// The timestep hand-off hands segment lists across with the dataset as
 // keepalive and deserializes by aliasing. The copied/borrowed counters
-// report payload bytes memcpy'd per hand-off.
-
-void BM_TimestepHandoffLegacy(benchmark::State& state) {
-  const PointSet& ps = dataset(state.range(0));
-  std::size_t iters = 0;
-  reset_data_plane_counters();
-  for (auto _ : state) {
-    auto [a, b] = insitu::make_inproc_channel();
-    // Pre-refactor shape: contiguous serialize + framed byte send.
-    a->send_framed(serialize_dataset(ps));
-    const auto received = deserialize_dataset(b->recv_framed());
-    benchmark::DoNotOptimize(received->num_points());
-    ++iters;
-  }
-  const DataPlaneCounters c = data_plane_counters();
-  state.counters["copied_per_xfer"] = double(c.bytes_copied) / double(iters);
-  state.counters["borrowed_per_xfer"] = double(c.bytes_borrowed) / double(iters);
-  state.SetBytesProcessed(
-      static_cast<int64_t>(state.iterations() * serialize_dataset(ps).size()));
-}
-BENCHMARK(BM_TimestepHandoffLegacy)
-    ->Arg(10000)
-    ->Arg(100000)
-    ->Unit(benchmark::kMillisecond);
+// report payload bytes memcpy'd or passed by reference per hand-off.
 
 void BM_TimestepHandoffZeroCopy(benchmark::State& state) {
   const Index n = state.range(0);
@@ -187,15 +162,22 @@ BENCHMARK(BM_QuantizedTransport)->Arg(6)->Arg(10)->Arg(16)->Unit(benchmark::kMil
 // quantize-then-compress stacking) is written to
 // bench_results/transport_codec_curve.csv by main() below.
 
+/// `bytes` as a one-segment message borrowing caller-owned storage.
+WireMessage borrowed_message(const std::vector<std::uint8_t>& bytes) {
+  WireMessage msg;
+  msg.append_borrowed(bytes);
+  return msg;
+}
+
 void BM_FrameEncodeCodec(benchmark::State& state) {
   const auto codec = state.range(0) == 0 ? insitu::WireCodec::kNone
                                          : insitu::WireCodec::kLz4;
   const auto payload = serialize_dataset(dataset(100000));
   std::size_t wire = 0;
   for (auto _ : state) {
-    const auto frame = insitu::frame_encode(payload, codec);
-    wire = frame.size();
-    benchmark::DoNotOptimize(frame.data());
+    const auto frame = insitu::frame_encode_msg(borrowed_message(payload), codec);
+    wire = frame.total_bytes();
+    benchmark::DoNotOptimize(frame.segments().data());
   }
   state.counters["wire_bytes"] = double(wire);
   state.counters["ratio"] = double(payload.size()) / double(wire);
@@ -208,10 +190,10 @@ void BM_FrameDecodeCodec(benchmark::State& state) {
   const auto codec = state.range(0) == 0 ? insitu::WireCodec::kNone
                                          : insitu::WireCodec::kLz4;
   const auto payload = serialize_dataset(dataset(100000));
-  const auto frame = insitu::frame_encode(payload, codec);
+  const auto frame = insitu::frame_encode_msg(borrowed_message(payload), codec);
   for (auto _ : state) {
-    const auto decoded = insitu::frame_decode(frame);
-    benchmark::DoNotOptimize(decoded.data());
+    const auto decoded = insitu::frame_decode_msg(frame);
+    benchmark::DoNotOptimize(decoded.segments().data());
   }
   state.SetBytesProcessed(
       static_cast<int64_t>(state.iterations() * payload.size()));
@@ -331,12 +313,13 @@ void write_codec_curve() {
   for (const CurvePayload& p : payloads) {
     for (const auto codec : {insitu::WireCodec::kNone, insitu::WireCodec::kLz4}) {
       ThreadCpuTimer enc_timer;
-      const auto frame = insitu::frame_encode(p.bytes, codec);
+      const auto frame =
+          insitu::frame_encode_msg(borrowed_message(p.bytes), codec).flatten();
       const double compress_s = enc_timer.elapsed();
       ThreadCpuTimer dec_timer;
-      const auto decoded = insitu::frame_decode(frame);
+      const auto decoded = insitu::frame_decode_msg(borrowed_message(frame));
       const double decompress_s = dec_timer.elapsed();
-      if (decoded != p.bytes) {
+      if (decoded.flatten() != p.bytes) {
         std::fprintf(stderr, "codec curve: %s/%s round trip mismatch!\n",
                      p.app, p.name);
         std::exit(1);

@@ -4,8 +4,8 @@
 // Every bench regenerates one table or figure of the paper's evaluation
 // (Section VI) at the documented reproduction scale:
 //
-//   particles:  1/1000 of the paper (1 M <-> "1 B")
-//   grid dims:  1/8 per axis (230x140x120 <-> 1840x1120x960)
+//   particles:  1/125 of the paper (8 M <-> "1 B")
+//   grid dims:  1/2 per axis (920x560x480 <-> 1840x1120x960)
 //   images:     1/100 (5 <-> 500 per timestep for HACC)
 //   node counts: unchanged (400 HACC / 216 xRAGE modelled nodes)
 //

@@ -107,32 +107,38 @@ std::string cas_dump_case(std::uint64_t app_fp, int M, int parts) {
                        app_fp, strprintf("dump M=%d P=%d", M, parts))));
 }
 
-/// Load (or synthesize) one rank's share through the artifact cache.
-/// The factory's measured cost and data-plane bytes are recorded with
-/// the artifact; the caller replays them on hit and miss alike so
-/// phase times and byte totals are identical cache-on vs cache-off.
-CacheLookup cached_share(ArtifactCache& cache, const ExperimentSpec& spec,
-                         std::uint64_t app_fp, const std::string& case_name,
-                         int share, int parts, Index t, int r, bool from_disk) {
+/// One rank's share as an artifact-cache request: the key plus the
+/// factory that loads it from the preliminary dump (disk proxy) or
+/// synthesizes it in memory. Demand lookups and the read-ahead prefetch
+/// issue the same request. The factory's measured cost and data-plane
+/// bytes are recorded with the artifact; the caller replays them on hit
+/// and miss alike, so phase times and byte totals are identical with
+/// memoization on or off. The factory references `spec`, which outlives
+/// every prefetch task (run() joins them before returning).
+struct ShareRequest {
+  ArtifactKey key;
+  ArtifactCache::Factory factory;
+};
+
+ShareRequest share_request(const ExperimentSpec& spec, std::uint64_t app_fp,
+                           const std::string& case_name, int share, int parts,
+                           Index t, int r) {
   const std::uint64_t file_fp = share_fingerprint(app_fp, share, parts, t);
-  const char* op = from_disk ? "proxy.load" : "produce_share";
-  return cache.get_or_compute({file_fp, op}, [&]() -> CacheArtifact {
-    ThreadCpuTimer timer;
-    DataPlaneCapture capture;
-    std::shared_ptr<const DataSet> ds;
-    if (from_disk) {
-      const sim::SimulationProxy proxy(spec.proxy_dir, case_name);
-      ds = proxy.load(t, r);
-    } else {
-      ds = Harness::produce_share(spec, share, parts, t);
-    }
-    cluster::PerfCounters recorded;
-    recorded.phases.add("generate", timer.elapsed());
-    recorded.bytes_copied = capture.taken().bytes_copied;
-    recorded.bytes_borrowed = capture.taken().bytes_borrowed;
-    return CacheArtifact{ds, static_cast<std::size_t>(ds->byte_size()),
-                         std::move(recorded), file_fp};
-  });
+  return {{file_fp, spec.use_disk_proxy ? "proxy.load" : "produce_share"},
+          [&spec, case_name, file_fp, share, parts, t, r]() -> CacheArtifact {
+            ThreadCpuTimer timer;
+            DataPlaneCapture capture;
+            std::shared_ptr<const DataSet> ds =
+                spec.use_disk_proxy
+                    ? sim::SimulationProxy(spec.proxy_dir, case_name).load(t, r)
+                    : Harness::produce_share(spec, share, parts, t);
+            cluster::PerfCounters recorded;
+            recorded.phases.add("generate", timer.elapsed());
+            recorded.bytes_copied = capture.taken().bytes_copied;
+            recorded.bytes_borrowed = capture.taken().bytes_borrowed;
+            return CacheArtifact{ds, static_cast<std::size_t>(ds->byte_size()),
+                                 std::move(recorded), file_fp};
+          }};
 }
 
 } // namespace
@@ -190,104 +196,71 @@ RunResult Harness::run(const ExperimentSpec& spec, const RunContext& ctx) const 
 
   // Sweep-wide memoization (DESIGN.md §10): proxy loads, filter
   // outputs and acceleration structures resolve through the artifact
-  // cache. ETH_CACHE_BYTES=0 disables it and reproduces the legacy
-  // behavior (including spec-named dump files) exactly.
+  // cache. ETH_CACHE_BYTES=0 turns memoization off; a disabled cache
+  // just runs every factory, so the data path below is the same either
+  // way.
   ArtifactCache& cache = global_artifact_cache();
-  const bool cache_on = cache.enabled();
-  const std::uint64_t app_fp = cache_on ? app_fingerprint(spec) : 0;
+  const std::uint64_t app_fp = app_fingerprint(spec);
 
   // Per-run attribution (common/run_counters.hpp): every rank body of
   // THIS run installs a scope pointing at this sink, so the data-plane
   // and cache-lookup traffic it tallies is exactly this run's — even
-  // when other harness runs execute concurrently. The old scheme
-  // (snapshot process-wide counters before/after and take the delta)
-  // silently attributed concurrent runs' traffic to each other.
+  // when other harness runs execute concurrently.
   RunCounterSink run_sink;
 
   // Figure 3's "preliminary run of the simulation": when the disk proxy
   // is active, the instrumented-simulation dump happens up front and is
   // NOT part of the measured in-situ loop; only the proxy's read is.
-  // With the cache on, dump files are content-addressed — named by the
-  // generator fingerprint instead of the sweep label — and files whose
-  // provenance the registry already proves on disk are not rewritten.
-  const std::string sim_case =
-      cache_on ? cas_dump_case(app_fp, M, P_sim) : spec.name + "_sim";
-  const std::string viz_case =
-      cache_on ? cas_dump_case(app_fp, M, P_viz) : spec.name + "_viz";
-  const bool want_viz_files = internode && P_sim != P_viz;
+  // Dump files are content-addressed — named by the generator
+  // fingerprint instead of the sweep label — and files whose provenance
+  // the cache's dump registry already proves on disk are not rewritten.
+  // The registry works with memoization off too: rewriting a file
+  // truncates it in place, which would fail a concurrent run reading
+  // the same content-addressed file.
+  const std::string sim_case = cas_dump_case(app_fp, M, P_sim);
+  const std::string viz_case = cas_dump_case(app_fp, M, P_viz);
   if (spec.use_disk_proxy) {
     // Concurrent runs with identical generator parameters resolve to
     // the SAME content-addressed dump files; two writers racing on one
-    // path would tear it (have_file() sees "missing" in both before
-    // either finishes). One process-wide mutex serializes the whole
-    // preliminary phase — it is explicitly outside the measured loop,
-    // so serializing it costs wall clock only, never measurement.
+    // path would tear it (both see "missing" before either finishes).
+    // One process-wide mutex serializes the whole preliminary phase —
+    // it is explicitly outside the measured loop, so serializing it
+    // costs wall clock only, never measurement.
     static std::mutex dump_phase_mutex;
     const std::lock_guard<std::mutex> dump_lock(dump_phase_mutex);
-    const sim::DumpWriter sim_writer(spec.proxy_dir, sim_case);
-    const sim::DumpWriter viz_writer(spec.proxy_dir, viz_case);
-    const auto have_file = [&](const std::string& path, std::uint64_t fp) {
-      return cache_on && cache.lookup_dump(path).value_or(0) == fp &&
-             std::filesystem::exists(path);
+    struct DumpCase {
+      sim::DumpWriter writer;
+      int parts;
     };
+    std::vector<DumpCase> cases{{sim::DumpWriter(spec.proxy_dir, sim_case), P_sim}};
+    if (internode && P_sim != P_viz)
+      cases.push_back({sim::DumpWriter(spec.proxy_dir, viz_case), P_viz});
     for (Index t = 0; t < spec.timesteps; ++t) {
-      if (spec.application == Application::kHacc) {
-        // Particle slabs are filtered views of one stream: generate the
-        // timestep once — and only when some slab is missing — then
-        // slice it per measured rank.
-        std::unique_ptr<DataSet> full;
-        const auto full_points = [&]() -> const PointSet& {
-          if (!full) full = produce_share(spec, 0, 1, t);
-          return static_cast<const PointSet&>(*full);
-        };
-        for (int r = 0; r < M; ++r) {
-          const std::string sim_path =
-              sim::dump_path(spec.proxy_dir, sim_case, t, r);
-          const std::uint64_t sim_fp =
-              share_fingerprint(app_fp, share_index(r, M, P_sim), P_sim, t);
-          if (!have_file(sim_path, sim_fp)) {
-            sim_writer.write(sim::extract_hacc_slab(full_points(), spec.hacc.box_size,
-                                                    share_index(r, M, P_sim), P_sim),
-                             t, r);
-            if (cache_on) cache.register_dump(sim_path, sim_fp);
-          }
-          if (want_viz_files) {
-            const std::string viz_path =
-                sim::dump_path(spec.proxy_dir, viz_case, t, r);
-            const std::uint64_t viz_fp =
-                share_fingerprint(app_fp, share_index(r, M, P_viz), P_viz, t);
-            if (!have_file(viz_path, viz_fp)) {
-              viz_writer.write(
-                  sim::extract_hacc_slab(full_points(), spec.hacc.box_size,
-                                         share_index(r, M, P_viz), P_viz),
-                  t, r);
-              if (cache_on) cache.register_dump(viz_path, viz_fp);
-            }
-          }
+      // Particle slabs are filtered views of one stream: generate the
+      // timestep once — and only when some slab is missing — then slice
+      // it per share. Grid blocks evaluate analytically: direct
+      // per-share synthesis.
+      std::unique_ptr<DataSet> full;
+      const auto write_share = [&](const sim::DumpWriter& writer, int share,
+                                   int parts, int r) {
+        if (spec.application != Application::kHacc) {
+          writer.write(*produce_share(spec, share, parts, t), t, r);
+          return;
         }
-      } else {
-        // Grid blocks evaluate analytically: direct per-share synthesis.
-        for (int r = 0; r < M; ++r) {
-          const std::string sim_path =
-              sim::dump_path(spec.proxy_dir, sim_case, t, r);
-          const std::uint64_t sim_fp =
-              share_fingerprint(app_fp, share_index(r, M, P_sim), P_sim, t);
-          if (!have_file(sim_path, sim_fp)) {
-            sim_writer.write(*produce_share(spec, share_index(r, M, P_sim), P_sim, t),
-                             t, r);
-            if (cache_on) cache.register_dump(sim_path, sim_fp);
-          }
-          if (want_viz_files) {
-            const std::string viz_path =
-                sim::dump_path(spec.proxy_dir, viz_case, t, r);
-            const std::uint64_t viz_fp =
-                share_fingerprint(app_fp, share_index(r, M, P_viz), P_viz, t);
-            if (!have_file(viz_path, viz_fp)) {
-              viz_writer.write(
-                  *produce_share(spec, share_index(r, M, P_viz), P_viz, t), t, r);
-              if (cache_on) cache.register_dump(viz_path, viz_fp);
-            }
-          }
+        if (!full) full = produce_share(spec, 0, 1, t);
+        writer.write(sim::extract_hacc_slab(static_cast<const PointSet&>(*full),
+                                            spec.hacc.box_size, share, parts),
+                     t, r);
+      };
+      for (int r = 0; r < M; ++r) {
+        for (const DumpCase& dump : cases) {
+          const int share = share_index(r, M, dump.parts);
+          const std::string path =
+              sim::dump_path(spec.proxy_dir, dump.writer.case_name(), t, r);
+          const std::uint64_t fp = share_fingerprint(app_fp, share, dump.parts, t);
+          if (cache.lookup_dump(path) == fp && std::filesystem::exists(path)) continue;
+          write_share(dump.writer, share, dump.parts, r);
+          cache.register_dump(path, fp);
         }
       }
     }
@@ -368,66 +341,42 @@ RunResult Harness::run(const ExperimentSpec& spec, const RunContext& ctx) const 
       return slots[static_cast<std::size_t>(t % pipeline_depth)];
     };
 
+    // Resolve one share of `parts` through the artifact cache (each
+    // (timestep, rank) dump is read at most once per sweep) and charge
+    // the recorded first-load cost on hit and miss alike.
+    const auto load_share = [&](TimestepSlot& slot, const std::string& case_name,
+                                int parts, Index t) {
+      const trace::Span span("sim.load");
+      const ShareRequest request = share_request(
+          spec, app_fp, case_name, share_index(r, M, parts), parts, t, r);
+      const CacheLookup lookup = cache.get_or_compute(request.key, request.factory);
+      slot.sim_data = lookup.as<DataSet>();
+      slot.data_fp = lookup.content_fp;
+      slot.generate_cpu += lookup.recorded.phases.get("generate");
+      slot.replay_copied += lookup.recorded.bytes_copied;
+      slot.replay_borrowed += lookup.recorded.bytes_borrowed;
+    };
+
     // ---- stage "produce": the simulation proxy produces this modelled
     // node's share: a disk read of the preliminary dump ("reads the
     // simulation data into memory and presents it ... as if by the
     // simulation itself"), or an in-memory synthesis when no proxy dir
-    // is used. Cache on: the share resolves through the artifact cache
-    // (each (timestep, rank) dump is read at most once per sweep) and
-    // the recorded first-load cost is charged on hit and miss alike.
+    // is used.
     const auto produce_stage = [&](Index t) {
       TimestepSlot& slot = slot_for(t);
       slot = TimestepSlot{};
-      if (cache_on) {
-        const CacheLookup lookup = [&] {
-          const trace::Span span("sim.load");
-          return cached_share(cache, spec, app_fp, sim_case,
-                              share_index(r, M, P_sim), P_sim, t, r,
-                              spec.use_disk_proxy);
-        }();
-        slot.sim_data = lookup.as<DataSet>();
-        slot.data_fp = lookup.content_fp;
-        slot.generate_cpu += lookup.recorded.phases.get("generate");
-        slot.replay_copied += lookup.recorded.bytes_copied;
-        slot.replay_borrowed += lookup.recorded.bytes_borrowed;
-        // Read-ahead: warm the NEXT timestep's share on the pool while
-        // this one renders. Value captures only — the task may outlive
-        // this iteration (run() joins the pool before returning).
-        if (spec.use_disk_proxy && t + 1 < spec.timesteps) {
-          const std::uint64_t next_fp =
-              share_fingerprint(app_fp, share_index(r, M, P_sim), P_sim, t + 1);
-          prefetch_group.launch(global_pool(), [&cache, dir = spec.proxy_dir,
-                                               case_name = sim_case, next_fp, t,
-                                               r]() {
-            try {
-              cache.prefetch({next_fp, "proxy.load"}, [&]() -> CacheArtifact {
-                ThreadCpuTimer timer;
-                DataPlaneCapture capture;
-                const sim::SimulationProxy proxy(dir, case_name);
-                std::shared_ptr<const DataSet> ds = proxy.load(t + 1, r);
-                cluster::PerfCounters recorded;
-                recorded.phases.add("generate", timer.elapsed());
-                recorded.bytes_copied = capture.taken().bytes_copied;
-                recorded.bytes_borrowed = capture.taken().bytes_borrowed;
-                return CacheArtifact{ds, static_cast<std::size_t>(ds->byte_size()),
-                                     std::move(recorded), next_fp};
-              });
-            } catch (...) {
-              // Pool tasks must not throw; a failed read-ahead only
-              // means the demand path pays the load itself.
-            }
-          });
-        }
-      } else {
-        const trace::Span span("sim.load");
-        ThreadCpuTimer gen_timer;
-        if (spec.use_disk_proxy) {
-          const sim::SimulationProxy proxy(spec.proxy_dir, sim_case);
-          slot.sim_data = proxy.load(t, r);
-        } else {
-          slot.sim_data = produce_share(spec, share_index(r, M, P_sim), P_sim, t);
-        }
-        slot.generate_cpu += gen_timer.elapsed();
+      load_share(slot, sim_case, P_sim, t);
+      // Read-ahead: warm the NEXT timestep's share on the pool while
+      // this one renders. The request is captured by value: the task
+      // may outlive this iteration (run() joins it before returning).
+      // prefetch() never throws, and is a no-op with memoization off.
+      if (spec.use_disk_proxy && t + 1 < spec.timesteps) {
+        prefetch_group.launch(
+            global_pool(),
+            [&cache, next = share_request(spec, app_fp, sim_case,
+                                          share_index(r, M, P_sim), P_sim, t + 1, r)] {
+              cache.prefetch(next.key, next.factory);
+            });
       }
       slot.generate_items =
           Index(double(dataset_elements(*slot.sim_data)) * spec.data_scale);
@@ -457,24 +406,7 @@ RunResult Harness::run(const ExperimentSpec& spec, const RunContext& ctx) const 
       // shares (1/P_viz each); the modelled exchange is charged by
       // the interconnect model, and here the receiving side
       // materializes its share directly.
-      if (internode && P_sim != P_viz) {
-        const trace::Span span("sim.load");
-        if (cache_on) {
-          const CacheLookup lookup =
-              cached_share(cache, spec, app_fp, viz_case, share_index(r, M, P_viz),
-                           P_viz, t, r, spec.use_disk_proxy);
-          slot.sim_data = lookup.as<DataSet>();
-          slot.data_fp = lookup.content_fp;
-          slot.generate_cpu += lookup.recorded.phases.get("generate");
-          slot.replay_copied += lookup.recorded.bytes_copied;
-          slot.replay_borrowed += lookup.recorded.bytes_borrowed;
-        } else if (spec.use_disk_proxy) {
-          const sim::SimulationProxy proxy(spec.proxy_dir, viz_case);
-          slot.sim_data = proxy.load(t, r);
-        } else {
-          slot.sim_data = produce_share(spec, share_index(r, M, P_viz), P_viz, t);
-        }
-      }
+      if (internode && P_sim != P_viz) load_share(slot, viz_case, P_viz, t);
       ThreadCpuTimer xfer_timer;
       auto [sim_end, viz_end] = insitu::make_inproc_channel();
       if (spec.fault.any()) {
@@ -483,52 +415,40 @@ RunResult Harness::run(const ExperimentSpec& spec, const RunContext& ctx) const 
         viz_end = std::make_unique<insitu::FaultInjector>(
             std::move(viz_end), spec.fault, std::uint64_t(2 * r + 1));
       }
-      if (spec.transport_quantization_bits > 0) {
-        const std::vector<std::uint8_t> payload = [&] {
-          const trace::Span span("serialize");
-          return compress_dataset(*slot.sim_data, spec.transport_quantization_bits);
-        }();
-        const auto delivered =
-            insitu::transfer_with_retry(*sim_end, *viz_end, payload,
-                                        spec.transfer_retry, slot.robustness,
-                                        wire_codec);
-        if (delivered.has_value()) {
-          const trace::Span span("deserialize");
-          slot.viz_data = decompress_dataset(*delivered);
-        }
-        // Quantization is lossy: the delivered content is a pure
-        // function of (input, bit width), so chain the provenance.
-        slot.viz_fp = slot.data_fp != 0
-                          ? fingerprint_chain(
-                                slot.data_fp,
-                                strprintf("quantized bits=%d",
-                                          spec.transport_quantization_bits))
-                          : 0;
-      } else {
-        // Zero-copy hand-off: the wire message borrows the dataset's
-        // bulk arrays (kept alive by the shared_ptr keepalive) and the
-        // delivered message's segments back the received dataset
-        // copy-on-write, so the payload crosses the channel without a
-        // userspace memcpy.
-        std::shared_ptr<const DataSet> shared = std::move(slot.sim_data);
-        const WireMessage msg = [&] {
-          const trace::Span span("serialize");
-          return wire_message_for_dataset(shared);
-        }();
-        const auto delivered =
-            insitu::transfer_with_retry(*sim_end, *viz_end, msg,
-                                        spec.transfer_retry, slot.robustness,
-                                        wire_codec);
-        if (delivered.has_value()) {
-          const trace::Span span("deserialize");
-          slot.viz_data = deserialize_dataset(*delivered);
-        }
-        // The lossless round trip is bit-exact: same content identity.
-        slot.viz_fp = slot.data_fp;
+      // Only encode and decode differ between the two hand-offs. The
+      // lossless one is zero-copy: the wire message borrows the
+      // dataset's bulk arrays (kept alive by the shared_ptr keepalive)
+      // and the delivered message's segments back the received dataset
+      // copy-on-write. The quantized one ships compress_dataset's
+      // buffer as one owned segment.
+      const int bits = spec.transport_quantization_bits;
+      const std::shared_ptr<const DataSet> shared = std::move(slot.sim_data);
+      const WireMessage msg = [&] {
+        const trace::Span span("serialize");
+        if (bits == 0) return wire_message_for_dataset(shared);
+        WireMessage packed;
+        packed.append_owned(Buffer::adopt(compress_dataset(*shared, bits)));
+        return packed;
+      }();
+      const auto delivered =
+          insitu::transfer_with_retry(*sim_end, *viz_end, msg, spec.transfer_retry,
+                                      slot.robustness, wire_codec);
+      if (delivered.has_value()) {
+        const trace::Span span("deserialize");
+        // A one-segment payload arrives as one segment (the frame
+        // header is a segment of its own), so the quantized message is
+        // contiguous.
+        slot.viz_data = bits == 0 ? deserialize_dataset(*delivered)
+                                  : decompress_dataset(delivered->contiguous_bytes());
       }
+      // The lossless round trip is bit-exact: same content identity.
+      // Quantization is lossy: the delivered content is a pure function
+      // of (input, bit width), so chain the provenance.
+      slot.viz_fp = bits == 0 ? slot.data_fp
+                              : fingerprint_chain(slot.data_fp,
+                                                  strprintf("quantized bits=%d", bits));
       slot.transfer_cpu += xfer_timer.elapsed();
       slot.transferred = sim_end->bytes_sent();
-      slot.sim_data.reset();
     };
 
     // ---- stage "viz": first collective-bearing stage, always on the
@@ -574,10 +494,8 @@ RunResult Harness::run(const ExperimentSpec& spec, const RunContext& ctx) const 
 
       insitu::VizConfig rank_cfg = spec.viz;
       rank_cfg.timestep = t; // drives the per-timestep plane/iso phase
-      if (cache_on) {
-        rank_cfg.artifact_cache = &cache;
-        rank_cfg.input_fingerprint = slot.viz_fp;
-      }
+      rank_cfg.artifact_cache = &cache;
+      rank_cfg.input_fingerprint = slot.viz_fp;
       if (!rank_cfg.has_explicit_scalar_range()) {
         const std::string& field_name =
             insitu::is_particle_algorithm(rank_cfg.algorithm)

@@ -111,41 +111,6 @@ FaultInjector::FaultInjector(std::unique_ptr<Transport> inner,
   require(inner_ != nullptr, "FaultInjector: null inner transport");
 }
 
-void FaultInjector::send(std::vector<std::uint8_t> bytes) {
-  const FaultEvent event = schedule_.send_event(send_index_++);
-  switch (event.kind) {
-    case FaultKind::kTruncate: {
-      // Drop the tail; at least the first byte survives so the message
-      // still arrives (a zero-length frame would model full loss, which
-      // kRecvTimeout already covers).
-      const std::size_t keep =
-          bytes.empty() ? 0 : 1 + static_cast<std::size_t>(
-                                      event.site % (bytes.size() > 1 ? bytes.size() - 1 : 1));
-      bytes.resize(keep);
-      ++faults_injected_;
-      break;
-    }
-    case FaultKind::kBitFlip: {
-      if (!bytes.empty()) {
-        const std::uint64_t bit = event.site % (std::uint64_t(bytes.size()) * 8);
-        bytes[static_cast<std::size_t>(bit / 8)] ^=
-            static_cast<std::uint8_t>(1u << (bit % 8));
-        ++faults_injected_;
-      }
-      break;
-    }
-    case FaultKind::kDelay: {
-      const trace::Span span("fault.delay");
-      std::this_thread::sleep_for(
-          std::chrono::duration<double, std::milli>(event.delay_ms));
-      ++faults_injected_;
-      break;
-    }
-    default: break;
-  }
-  inner_->send(std::move(bytes));
-}
-
 namespace {
 
 /// First `keep` logical bytes of `msg` (segment subspans, keepalives
@@ -188,8 +153,9 @@ void FaultInjector::send_msg(const WireMessage& msg) {
   const FaultEvent event = schedule_.send_event(send_index_++);
   switch (event.kind) {
     case FaultKind::kTruncate: {
-      // Same tail-drop rule as the raw path: at least the first byte
-      // survives so the message still arrives.
+      // Drop the tail; at least the first byte survives so the message
+      // still arrives (a zero-length frame would model full loss, which
+      // kRecvTimeout already covers).
       const std::size_t total = msg.total_bytes();
       const std::size_t keep =
           total == 0 ? 0 : 1 + static_cast<std::size_t>(
@@ -223,27 +189,15 @@ void FaultInjector::send_msg(const WireMessage& msg) {
 WireMessage FaultInjector::recv_msg() {
   const FaultEvent event = schedule_.recv_event(recv_index_++);
   if (event.kind == FaultKind::kRecvTimeout) {
-    // Same semantics as the raw path: consume, then report late.
+    // Consume the message, then report it late: models data that
+    // arrives after the deadline (the frame is lost to the caller, but
+    // the stream stays framed for the next recv).
     inner_->recv_msg();
     ++faults_injected_;
     throw TransportError(TransportErrorCode::kTimeout,
                          "FaultInjector: injected recv timeout");
   }
   return inner_->recv_msg();
-}
-
-std::vector<std::uint8_t> FaultInjector::recv() {
-  const FaultEvent event = schedule_.recv_event(recv_index_++);
-  if (event.kind == FaultKind::kRecvTimeout) {
-    // Consume the message, then report it late: models data that
-    // arrives after the deadline (the frame is lost to the caller, but
-    // the stream stays framed for the next recv).
-    inner_->recv();
-    ++faults_injected_;
-    throw TransportError(TransportErrorCode::kTimeout,
-                         "FaultInjector: injected recv timeout");
-  }
-  return inner_->recv();
 }
 
 void FaultInjector::set_recv_deadline(double seconds) {
@@ -297,43 +251,6 @@ bool classify_recv_fault(const TransportError& error, RobustnessReport& report) 
 
 } // namespace
 
-std::optional<std::vector<std::uint8_t>> transfer_with_retry(
-    Transport& tx, Transport& rx, std::span<const std::uint8_t> payload,
-    const RetryPolicy& policy, RobustnessReport& report, WireCodec codec) {
-  require(policy.max_attempts > 0, "transfer_with_retry: need >= 1 attempt");
-  const trace::Span transfer_span("transfer");
-  rx.set_recv_deadline(policy.recv_deadline_seconds);
-  // Encode (and compress) ONCE, outside the attempt loop: the injector
-  // damages its own copy of the frame, so retries put these exact
-  // pristine bytes back on the wire without paying the codec again.
-  const std::vector<std::uint8_t> frame = frame_encode(payload, codec);
-  for (int attempt = 0; attempt < policy.max_attempts; ++attempt) {
-    if (attempt > 0) {
-      ++report.frames_retried;
-      trace::instant("transfer.retry");
-    }
-    ++report.frames_sent;
-    // Send-side failures (oversized payload, closed channel) are not
-    // retryable and propagate; injected damage happens below the
-    // framing, so every retryable fault surfaces on the receive side.
-    {
-      const trace::Span send_span("transport.send");
-      note_bytes_on_wire(frame.size());
-      tx.send(frame);
-    }
-    try {
-      std::vector<std::uint8_t> bytes = rx.recv_framed();
-      ++report.frames_delivered;
-      return bytes;
-    } catch (const TransportError& error) {
-      if (!classify_recv_fault(error, report)) throw;
-    }
-  }
-  ++report.frames_dropped;
-  trace::instant("transfer.drop");
-  return std::nullopt;
-}
-
 std::optional<WireMessage> transfer_with_retry(
     Transport& tx, Transport& rx, const WireMessage& payload,
     const RetryPolicy& policy, RobustnessReport& report, WireCodec codec) {
@@ -370,13 +287,13 @@ std::optional<WireMessage> transfer_with_retry(
   return std::nullopt;
 }
 
-std::optional<std::vector<std::uint8_t>> recv_framed_tolerant(
+std::optional<WireMessage> recv_framed_tolerant(
     Transport& rx, RobustnessReport& report, bool* closed) {
   if (closed != nullptr) *closed = false;
   try {
-    std::vector<std::uint8_t> bytes = rx.recv_framed();
+    WireMessage delivered = rx.recv_framed_msg();
     ++report.frames_delivered;
-    return bytes;
+    return delivered;
   } catch (const TransportError& error) {
     if (!classify_recv_fault(error, report)) {
       if (error.code() != TransportErrorCode::kConnectionClosed) throw;

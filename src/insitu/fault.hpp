@@ -23,14 +23,13 @@
 //                     counters (sent/retried/dropped/corrupt) surface
 //                     through core/table as the robustness report.
 //
-// Faults are injected BELOW the CRC framing layer (on raw frame bytes),
+// Faults are injected BELOW the CRC framing layer (on frame messages),
 // so every injected corruption must be caught by the checksum — which
 // is exactly what the robustness test suite asserts.
 
 #include <memory>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "common/rng.hpp"
 #include "insitu/transport.hpp"
@@ -114,14 +113,11 @@ public:
   FaultInjector(std::unique_ptr<Transport> inner, const FaultConfig& config,
                 std::uint64_t endpoint_id = 0);
 
-  void send(std::vector<std::uint8_t> bytes) override;
-  std::vector<std::uint8_t> recv() override;
-  /// Scatter-gather paths share the send/recv schedules with the raw
-  /// paths (one message index per message, whichever API carried it).
-  /// Damage is applied through the segment list: truncation trims the
-  /// segment tail, a bit flip replaces only the affected segment with a
-  /// damaged copy — the sender's live dataset (which borrowed segments
-  /// alias) is never touched, so retries resend pristine bytes.
+  /// One schedule index per message. Damage is applied through the
+  /// segment list: truncation trims the segment tail, a bit flip
+  /// replaces only the affected segment with a damaged copy — the
+  /// sender's live dataset (which borrowed segments alias) is never
+  /// touched, so retries resend pristine bytes.
   void send_msg(const WireMessage& msg) override;
   WireMessage recv_msg() override;
   Bytes bytes_sent() const override { return inner_->bytes_sent(); }
@@ -162,27 +158,19 @@ struct RetryPolicy {
 };
 
 /// Push `payload` through `tx` and pull it from `rx` (the two ends of
-/// one channel), retrying on faults detected at the receive side
-/// (corrupt, truncated or implausibly-sized frames, receive timeouts).
-/// Returns the delivered payload, or nullopt when the frame was dropped
+/// one channel) on the framed path, retrying on faults detected at the
+/// receive side (corrupt, truncated or implausibly-sized frames,
+/// receive timeouts). Returns the delivered message, whose segments may
+/// alias the receive buffer, or nullopt when the frame was dropped
 /// after the retry budget — the caller degrades gracefully instead of
 /// crashing. Send-side failures (oversized payload, closed connection)
 /// are protocol violations, not transit damage, and still propagate.
 ///
 /// Pristine-retry invariant (DESIGN.md §15): the frame — including any
-/// codec work — is encoded ONCE before the attempt loop; the fault
-/// injector damages copies, so every retry puts the same pristine
-/// (compressed) bytes back on the wire, and compress_cpu_seconds is
-/// charged once per frame, not once per attempt.
-std::optional<std::vector<std::uint8_t>> transfer_with_retry(
-    Transport& tx, Transport& rx, std::span<const std::uint8_t> payload,
-    const RetryPolicy& policy, RobustnessReport& report,
-    WireCodec codec = WireCodec::kNone);
-
-/// Scatter-gather variant: pushes `payload` through the zero-copy
-/// framed path and returns the delivered message, whose segments may
-/// alias the receive buffer. `payload` is never mutated, so retries
-/// resend the original bytes (same pristine-retry invariant as above).
+/// codec work — is encoded ONCE before the attempt loop; `payload` is
+/// never mutated and the fault injector damages copies, so every retry
+/// puts the same pristine (compressed) bytes back on the wire, and
+/// compress_cpu_seconds is charged once per frame, not once per attempt.
 std::optional<WireMessage> transfer_with_retry(
     Transport& tx, Transport& rx, const WireMessage& payload,
     const RetryPolicy& policy, RobustnessReport& report,
@@ -195,7 +183,7 @@ std::optional<WireMessage> transfer_with_retry(
 /// `closed` flag set so streaming loops can stop. Used by streaming
 /// receivers that cannot request a resend (e.g. the internode socket
 /// path, which has no acknowledgement protocol).
-std::optional<std::vector<std::uint8_t>> recv_framed_tolerant(
+std::optional<WireMessage> recv_framed_tolerant(
     Transport& rx, RobustnessReport& report, bool* closed = nullptr);
 
 } // namespace eth::insitu

@@ -73,27 +73,9 @@ void write_all(int fd, const void* data, std::size_t n) {
   }
 }
 
-/// Socket-specific writer: MSG_NOSIGNAL turns a write to a closed peer
-/// into EPIPE (classified below) instead of a process-killing SIGPIPE.
-void send_all(int fd, const void* data, std::size_t n) {
-  const char* p = static_cast<const char*>(data);
-  while (n > 0) {
-    const ssize_t written = ::send(fd, p, n, MSG_NOSIGNAL);
-    if (written < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EPIPE || errno == ECONNRESET)
-        throw TransportError(TransportErrorCode::kConnectionClosed,
-                             "SocketTransport: peer closed the connection while writing");
-      fail(std::string("SocketTransport: send failed: ") + std::strerror(errno));
-    }
-    p += written;
-    n -= static_cast<std::size_t>(written);
-  }
-}
-
 /// Gathered write of an iovec list (mutated in place to track partial
-/// writes). MSG_NOSIGNAL semantics match send_all: a closed peer raises
-/// kConnectionClosed instead of SIGPIPE.
+/// writes). MSG_NOSIGNAL turns a write to a closed peer into EPIPE,
+/// raised as kConnectionClosed instead of a process-killing SIGPIPE.
 void send_all_vec(int fd, std::vector<iovec>& iov) {
   std::size_t first = 0;
   while (first < iov.size()) {
@@ -167,16 +149,6 @@ public:
     ::setsockopt(fd_.get(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
   }
 
-  void send(std::vector<std::uint8_t> bytes) override {
-    check_message_length(bytes.size());
-    std::uint64_t len = bytes.size();
-    std::uint8_t header[8];
-    for (int i = 0; i < 8; ++i) header[i] = static_cast<std::uint8_t>(len >> (8 * i));
-    send_all(fd_.get(), header, sizeof header);
-    if (!bytes.empty()) send_all(fd_.get(), bytes.data(), bytes.size());
-    sent_ += bytes.size();
-  }
-
   void send_msg(const WireMessage& msg) override {
     check_message_length(msg.total_bytes());
     std::uint64_t len = msg.total_bytes();
@@ -193,19 +165,6 @@ public:
     send_all_vec(fd_.get(), iov);
     sent_ += msg.total_bytes();
     note_bytes_borrowed(msg.total_bytes());
-  }
-
-  std::vector<std::uint8_t> recv() override {
-    const WallTimer timer; // one deadline covers header + payload
-    std::uint8_t header[8];
-    read_all_deadline(fd_.get(), header, sizeof header, timer, recv_deadline_);
-    std::uint64_t len = 0;
-    for (int i = 0; i < 8; ++i) len |= std::uint64_t(header[i]) << (8 * i);
-    check_message_length(len);
-    std::vector<std::uint8_t> bytes(static_cast<std::size_t>(len));
-    if (len > 0)
-      read_all_deadline(fd_.get(), bytes.data(), bytes.size(), timer, recv_deadline_);
-    return bytes;
   }
 
   WireMessage recv_msg() override {

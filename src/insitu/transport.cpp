@@ -2,10 +2,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdlib>
 #include <cstring>
+#include <deque>
 #include <mutex>
-#include <variant>
 
 #include "common/crc32.hpp"
 #include "common/error.hpp"
@@ -290,43 +291,9 @@ WireMessage frame_decode_msg(const WireMessage& frame) {
   return decode_stored_frame(frame, header);
 }
 
-std::vector<std::uint8_t> frame_encode(std::span<const std::uint8_t> payload,
-                                       WireCodec codec) {
-  WireMessage msg;
-  msg.append_borrowed(payload);
-  return frame_encode_msg(msg, codec).flatten();
-}
-
-std::vector<std::uint8_t> frame_decode(std::span<const std::uint8_t> frame) {
-  WireMessage msg;
-  msg.append_borrowed(frame);
-  return frame_decode_msg(msg).flatten();
-}
-
-void Transport::send_msg(const WireMessage& msg) { send(msg.flatten()); }
-
-WireMessage Transport::recv_msg() {
-  WireMessage msg;
-  msg.append_owned(Buffer::adopt(recv()));
-  return msg;
-}
-
 // The framed wrappers are the single transport-layer instrumentation
 // point: every concrete transport (in-proc, TCP, fault-injected) funnels
 // through them, so spans here cover the whole send/recv taxonomy.
-
-void Transport::send_framed(std::span<const std::uint8_t> payload,
-                            WireCodec codec) {
-  const trace::Span span("transport.send");
-  std::vector<std::uint8_t> frame = frame_encode(payload, codec);
-  note_bytes_on_wire(frame.size());
-  send(std::move(frame));
-}
-
-std::vector<std::uint8_t> Transport::recv_framed() {
-  const trace::Span span("transport.recv");
-  return frame_decode(recv());
-}
 
 void Transport::send_framed_msg(const WireMessage& payload, WireCodec codec) {
   const trace::Span span("transport.send");
@@ -369,19 +336,16 @@ std::unique_ptr<DataSet> Transport::recv_dataset() {
 
 namespace {
 
-/// One direction of the in-process channel. Raw byte sends stay plain
-/// vectors (moved through untouched); scatter-gather sends keep their
-/// segment list, so refcounted payload segments cross the queue with
-/// zero copies.
+/// One direction of the in-process channel. Messages keep their segment
+/// list, so refcounted payload segments cross the queue with zero
+/// copies.
 struct Pipe {
-  using Item = std::variant<std::vector<std::uint8_t>, WireMessage>;
-
   std::mutex mutex;
   std::condition_variable arrived;
-  std::deque<Item> queue;
+  std::deque<WireMessage> queue;
   bool closed = false;
 
-  void push(Item item) {
+  void push(WireMessage item) {
     {
       std::lock_guard<std::mutex> lock(mutex);
       queue.push_back(std::move(item));
@@ -389,7 +353,7 @@ struct Pipe {
     arrived.notify_one();
   }
 
-  Item pop(double deadline_seconds) {
+  WireMessage pop(double deadline_seconds) {
     std::unique_lock<std::mutex> lock(mutex);
     const auto ready = [this] { return !queue.empty() || closed; };
     if (deadline_seconds > 0) {
@@ -404,7 +368,7 @@ struct Pipe {
     }
     require_transport(!queue.empty(), TransportErrorCode::kConnectionClosed,
                       "InProcChannel: peer endpoint destroyed while receiving");
-    Item item = std::move(queue.front());
+    WireMessage item = std::move(queue.front());
     queue.pop_front();
     return item;
   }
@@ -427,11 +391,6 @@ public:
     out_->close(); // wake a peer blocked on recv so it can fail cleanly
   }
 
-  void send(std::vector<std::uint8_t> bytes) override {
-    sent_ += bytes.size();
-    out_->push(std::move(bytes));
-  }
-
   void send_msg(const WireMessage& msg) override {
     sent_ += msg.total_bytes();
     // Enforce the lifetime contract: refcounted segments ride through
@@ -451,20 +410,7 @@ public:
     out_->push(std::move(queued));
   }
 
-  std::vector<std::uint8_t> recv() override {
-    Pipe::Item item = in_->pop(recv_deadline_);
-    if (auto* bytes = std::get_if<std::vector<std::uint8_t>>(&item))
-      return std::move(*bytes);
-    return std::get<WireMessage>(item).flatten();
-  }
-
-  WireMessage recv_msg() override {
-    Pipe::Item item = in_->pop(recv_deadline_);
-    if (auto* msg = std::get_if<WireMessage>(&item)) return std::move(*msg);
-    WireMessage wrapped;
-    wrapped.append_owned(Buffer::adopt(std::move(std::get<std::vector<std::uint8_t>>(item))));
-    return wrapped;
-  }
+  WireMessage recv_msg() override { return in_->pop(recv_deadline_); }
 
   Bytes bytes_sent() const override { return sent_; }
 

@@ -433,49 +433,54 @@ TEST(SweepScheduler, RunJoinsOnlyItsOwnPrefetches) {
 // files and artifact-cache entries. Both must produce the serial
 // baseline's image bit for bit; the cache's in-flight dedup may split
 // hits/misses between them nondeterministically, but the deterministic
-// outputs may not move.
+// outputs may not move. With memoization off the runs still share the
+// dump files: the dump registry must keep the second run from
+// rewriting (truncating) a file the first one is reading.
 TEST(SweepScheduler, ConcurrentRunsOfSameSpecShareDumpsSafely) {
   CacheStateGuard cache_guard;
   ArtifactCache& cache = global_artifact_cache();
-  cache.set_enabled(true);
-  cache.clear();
+  for (const bool memoize : {true, false}) {
+    SCOPED_TRACE(memoize ? "cache on" : "cache off");
+    cache.set_enabled(memoize);
+    cache.clear();
 
-  ExperimentSpec spec = hacc_faulted_sweep()[0].spec;
-  spec.use_disk_proxy = true;
-  spec.proxy_dir =
-      (std::filesystem::temp_directory_path() / "eth_sweep_sched_shared").string();
-  std::filesystem::remove_all(spec.proxy_dir);
+    ExperimentSpec spec = hacc_faulted_sweep()[0].spec;
+    spec.use_disk_proxy = true;
+    spec.proxy_dir =
+        (std::filesystem::temp_directory_path() / "eth_sweep_sched_shared").string();
+    std::filesystem::remove_all(spec.proxy_dir);
 
-  const Harness harness;
-  const RunResult baseline = harness.run(spec);
-  ASSERT_TRUE(baseline.final_image.has_value());
-  const auto baseline_img = pack_image(*baseline.final_image);
+    const Harness harness;
+    const RunResult baseline = harness.run(spec);
+    ASSERT_TRUE(baseline.final_image.has_value());
+    const auto baseline_img = pack_image(*baseline.final_image);
 
-  cache.clear(); // both concurrent runs start cold and race on the files
-  std::filesystem::remove_all(spec.proxy_dir);
+    cache.clear(); // both concurrent runs start cold and race on the files
+    std::filesystem::remove_all(spec.proxy_dir);
 
-  std::vector<RunResult> results(2);
-  std::vector<std::thread> threads;
-  for (int i = 0; i < 2; ++i)
-    threads.emplace_back([&, i] {
-      // Distinct track bases, as the sweep scheduler would assign.
-      RunContext ctx;
-      ctx.trace_track_base = i * trace::kSweepTrackStride;
-      results[static_cast<std::size_t>(i)] = harness.run(spec, ctx);
-    });
-  for (std::thread& t : threads) t.join();
+    std::vector<RunResult> results(2);
+    std::vector<std::thread> threads;
+    for (int i = 0; i < 2; ++i)
+      threads.emplace_back([&, i] {
+        // Distinct track bases, as the sweep scheduler would assign.
+        RunContext ctx;
+        ctx.trace_track_base = i * trace::kSweepTrackStride;
+        results[static_cast<std::size_t>(i)] = harness.run(spec, ctx);
+      });
+    for (std::thread& t : threads) t.join();
 
-  for (const RunResult& result : results) {
-    ASSERT_TRUE(result.final_image.has_value());
-    const auto img = pack_image(*result.final_image);
-    ASSERT_EQ(img.size(), baseline_img.size());
-    EXPECT_EQ(std::memcmp(img.data(), baseline_img.data(), img.size()), 0);
-    // Per-run attribution: each run owns its own transfer traffic.
-    EXPECT_EQ(result.robustness.frames_sent, baseline.robustness.frames_sent);
-    EXPECT_EQ(result.timesteps_dropped, baseline.timesteps_dropped);
+    for (const RunResult& result : results) {
+      ASSERT_TRUE(result.final_image.has_value());
+      const auto img = pack_image(*result.final_image);
+      ASSERT_EQ(img.size(), baseline_img.size());
+      EXPECT_EQ(std::memcmp(img.data(), baseline_img.data(), img.size()), 0);
+      // Per-run attribution: each run owns its own transfer traffic.
+      EXPECT_EQ(result.robustness.frames_sent, baseline.robustness.frames_sent);
+      EXPECT_EQ(result.timesteps_dropped, baseline.timesteps_dropped);
+    }
+
+    std::filesystem::remove_all(spec.proxy_dir);
   }
-
-  std::filesystem::remove_all(spec.proxy_dir);
 }
 
 } // namespace

@@ -218,14 +218,21 @@ TEST(SerializeProperty, AnySingleByteCorruptionIsCaughtByFrameChecksum) {
   // the damage as a TransportError; it never hands corrupt bytes to the
   // deserializer.
   const auto payload = serialize_dataset(make_point_set());
-  const auto frame = insitu::frame_encode(payload);
-  ASSERT_EQ(insitu::frame_decode(frame), payload); // intact frame passes
+  WireMessage payload_msg;
+  payload_msg.append_borrowed(payload);
+  const auto frame = insitu::frame_encode_msg(payload_msg).flatten();
+  const auto decode = [](const std::vector<std::uint8_t>& bytes) {
+    WireMessage msg;
+    msg.append_borrowed(bytes);
+    return insitu::frame_decode_msg(msg).flatten();
+  };
+  ASSERT_EQ(decode(frame), payload); // intact frame passes
   Rng rng(1004);
   for (int trial = 0; trial < 128; ++trial) {
     auto damaged = frame;
     const std::size_t pos = std::size_t(rng.uniform_index(damaged.size()));
     damaged[pos] ^= std::uint8_t(1 + rng.uniform_index(255));
-    EXPECT_THROW(insitu::frame_decode(damaged), TransportError)
+    EXPECT_THROW(decode(damaged), TransportError)
         << "corruption at byte " << pos << " escaped the checksum";
   }
 }

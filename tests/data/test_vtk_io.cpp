@@ -4,6 +4,8 @@
 
 #include <filesystem>
 #include <fstream>
+#include <string>
+#include <unistd.h>
 
 #include "data/point_set.hpp"
 #include "data/structured_grid.hpp"
@@ -14,7 +16,12 @@ namespace {
 class VtkIoTest : public ::testing::Test {
 protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "eth_vtk_io_test";
+    // Per-test, per-process directory: ctest runs every TEST_F as its
+    // own process, possibly in parallel, and TearDown deletes the tree.
+    dir_ = std::filesystem::temp_directory_path() /
+           ("eth_vtk_io_test_" +
+            std::string(::testing::UnitTest::GetInstance()->current_test_info()->name()) +
+            "_" + std::to_string(::getpid()));
     std::filesystem::create_directories(dir_);
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }

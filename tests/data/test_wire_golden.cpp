@@ -3,10 +3,11 @@
 // The serialized byte stream is a WIRE CONTRACT: checked-in hex
 // fixtures (generated from the original contiguous serializer) pin the
 // exact bytes for every dataset kind. Both serialization paths — the
-// legacy contiguous serialize_dataset and the scatter-gather
+// contiguous serialize_dataset and the scatter-gather
 // wire_message_for_dataset — must keep reproducing these fixtures
-// bit-for-bit, and frames built from either path must be identical, so
-// old and new endpoints interoperate freely.
+// bit-for-bit. The stored (ETHF) and compressed (ETHZ) frames around
+// them are pinned the same way, so endpoints of any revision
+// interoperate.
 
 #include <gtest/gtest.h>
 
@@ -54,6 +55,38 @@ constexpr char kGoldenTetMesh[] =  // 194 bytes
     "0003000000000000000400000000000000010000000400000074656d70010000"
     "00000500000000000000000000000000c03f00004040000090400000c0400000"
     "0000";
+
+// The stored (codec-none) frame of each fixture: u32 magic "ETHF" |
+// u32 crc32(payload) | u64 payload length | payload, all little-endian.
+constexpr char kGoldenPointSetFrame[] =  // 157 bytes
+    "455448464c11f2bd8d0000000000000044485445010400000000000000000000"
+    "000000803e000080bf0000c03f000000c000004040000000be00008040000000"
+    "3f00000040000000400000004001000000020000006964010000000004000000"
+    "000000000000003f0000c03f000020400000604001000000040000006d617373"
+    "02000000010200000000000000000020410000a0410000f04100002042";
+constexpr char kGoldenGridFrame[] =  // 143 bytes
+    "45544846d13aa1447f0000000000000044485445020300000000000000020000"
+    "000000000002000000000000000000803f00000040000040400000003f000080"
+    "3e0000803f01000000010000007401000000000c000000000000000000000000"
+    "00803e0000003f0000403f0000803f0000a03f0000c03f0000e03f0000004000"
+    "001040000020400000304000000000";
+constexpr char kGoldenTriangleMeshFrame[] =  // 229 bytes
+    "455448469d2e0b1fd50000000000000044485445030400000000000000010200"
+    "0000000000000000000000000000000000000000803f00000000000000000000"
+    "00000000803f000000000000803f0000803f0000803f00000000000000000000"
+    "803f000000000000803f000000000000803f00000000000000000000003f0000"
+    "003f000000000000000000000000010000000000000002000000000000000100"
+    "0000000000000300000000000000020000000000000001000000060000007363"
+    "616c6172010000000004000000000000000000e0400000c0400000a040000080"
+    "4000000000";
+constexpr char kGoldenTetMeshFrame[] =  // 210 bytes
+    "455448463dc37d18c20000000000000044485445040500000000000000020000"
+    "00000000000000000000000000000000000000803f0000000000000000000000"
+    "000000803f0000000000000000000000000000803f0000803f0000803f000080"
+    "3f00000000000000000100000000000000020000000000000003000000000000"
+    "0001000000000000000200000000000000030000000000000004000000000000"
+    "00010000000400000074656d7001000000000500000000000000000000000000"
+    "c03f00004040000090400000c04000000000";
 
 std::vector<std::uint8_t> from_hex(const char* hex) {
   const std::string s(hex);
@@ -123,8 +156,26 @@ TetMesh golden_tets() {
   return m;
 }
 
+std::string to_hex(std::span<const std::uint8_t> bytes) {
+  static const char digits[] = "0123456789abcdef";
+  std::string out;
+  out.reserve(bytes.size() * 2);
+  for (const std::uint8_t b : bytes) {
+    out.push_back(digits[b >> 4]);
+    out.push_back(digits[b & 0x0F]);
+  }
+  return out;
+}
+
+/// `bytes` as a one-segment message borrowing caller-owned storage.
+WireMessage borrowed_message(const std::vector<std::uint8_t>& bytes) {
+  WireMessage msg;
+  msg.append_borrowed(bytes);
+  return msg;
+}
+
 /// The full contract for one dataset kind against its fixture.
-void expect_golden(const DataSet& ds, const char* hex) {
+void expect_golden(const DataSet& ds, const char* hex, const char* frame_hex) {
   const std::vector<std::uint8_t> fixture = from_hex(hex);
 
   // 1. The contiguous path reproduces the fixture bit-for-bit.
@@ -134,15 +185,12 @@ void expect_golden(const DataSet& ds, const char* hex) {
   const WireMessage msg = wire_message_for_dataset(ds);
   EXPECT_EQ(msg.flatten(), fixture);
 
-  // 3. Mixed old/new framing: a frame built from the segment list is
-  // byte-identical to one built from the contiguous payload, and each
-  // decoder accepts the other's frames.
-  const std::vector<std::uint8_t> legacy_frame = insitu::frame_encode(fixture);
-  EXPECT_EQ(insitu::frame_encode_msg(msg).flatten(), legacy_frame);
-  EXPECT_EQ(insitu::frame_decode(legacy_frame), fixture);
-  WireMessage frame_msg;
-  frame_msg.append_owned(Buffer::copy_of(legacy_frame));
-  EXPECT_EQ(insitu::frame_decode_msg(frame_msg).flatten(), fixture);
+  // 3. The stored frame matches its pinned hex whether the payload is
+  // one segment or many, and decodes back to the fixture.
+  const std::vector<std::uint8_t> frame = insitu::frame_encode_msg(msg).flatten();
+  EXPECT_EQ(to_hex(frame), frame_hex);
+  EXPECT_EQ(insitu::frame_encode_msg(borrowed_message(fixture)).flatten(), frame);
+  EXPECT_EQ(insitu::frame_decode_msg(borrowed_message(frame)).flatten(), fixture);
 
   // 4. Round trips through BOTH deserializers re-serialize to the
   // fixture exactly.
@@ -155,8 +203,7 @@ void expect_golden(const DataSet& ds, const char* hex) {
 // ---- codec-tagged frames (DESIGN.md §15). The compressed wire image
 // is as much a contract as the stored one: these fixtures pin the full
 // lz4-codec frame (ETHZ header + shuffled/LZ-coded payload) for every
-// dataset kind, and the codec-none path must keep producing the legacy
-// stored frame byte-for-byte.
+// dataset kind.
 
 constexpr char kGoldenPointSetLzFrame[] =   // 139 bytes
     "4554485a0db2c6c173000000000000008d00000000000000f00644010000003e"
@@ -182,42 +229,26 @@ constexpr char kGoldenTetMeshLzFrame[] =   // 137 bytes
     "33650005240013450800418000000004002080800700031600040700c06d0000"
     "000000000000000000";
 
-std::string to_hex(std::span<const std::uint8_t> bytes) {
-  static const char digits[] = "0123456789abcdef";
-  std::string out;
-  out.reserve(bytes.size() * 2);
-  for (const std::uint8_t b : bytes) {
-    out.push_back(digits[b >> 4]);
-    out.push_back(digits[b & 0x0F]);
-  }
-  return out;
-}
-
 void expect_codec_golden(const DataSet& ds, const char* payload_hex,
                          const char* lz_frame_hex) {
   const std::vector<std::uint8_t> payload = from_hex(payload_hex);
   const WireMessage msg = wire_message_for_dataset(ds);
-  const std::vector<std::uint8_t> legacy = insitu::frame_encode(payload);
 
-  // 1. codec none IS the legacy stored frame, byte for byte — the
-  // pre-codec fixtures stay pinned.
-  EXPECT_EQ(insitu::frame_encode(payload, insitu::WireCodec::kNone), legacy);
-  EXPECT_EQ(insitu::frame_encode_msg(msg, insitu::WireCodec::kNone).flatten(),
-            legacy);
-
-  // 2. The lz4 frame matches its pinned hex from both encode paths.
+  // 1. The lz4 frame matches its pinned hex whether the payload is one
+  // segment or many.
   const std::vector<std::uint8_t> lz_frame =
-      insitu::frame_encode(payload, insitu::WireCodec::kLz4);
+      insitu::frame_encode_msg(msg, insitu::WireCodec::kLz4).flatten();
   EXPECT_EQ(to_hex(lz_frame), lz_frame_hex);
-  EXPECT_EQ(insitu::frame_encode_msg(msg, insitu::WireCodec::kLz4).flatten(),
+  EXPECT_EQ(insitu::frame_encode_msg(borrowed_message(payload),
+                                     insitu::WireCodec::kLz4)
+                .flatten(),
             lz_frame);
 
-  // 3. Adaptive fallback guarantee: codec on never costs wire bytes.
-  EXPECT_LE(lz_frame.size(), legacy.size());
+  // 2. Adaptive fallback guarantee: codec on never costs wire bytes.
+  EXPECT_LE(lz_frame.size(), insitu::frame_encode_msg(msg).total_bytes());
 
-  // 4. Both decoders recover the payload bit-identically (the decoder
-  // dispatches on the frame magic, so endpoints need no codec config).
-  EXPECT_EQ(insitu::frame_decode(lz_frame), payload);
+  // 3. The decoder recovers the payload bit-identically (it dispatches
+  // on the frame magic, so endpoints need no codec config).
   WireMessage frame_msg;
   frame_msg.append_owned(Buffer::copy_of(lz_frame));
   EXPECT_EQ(insitu::frame_decode_msg(frame_msg).flatten(), payload);
@@ -236,10 +267,18 @@ TEST(GoldenWireFormat, TetMeshLzCodec) {
   expect_codec_golden(golden_tets(), kGoldenTetMesh, kGoldenTetMeshLzFrame);
 }
 
-TEST(GoldenWireFormat, PointSet) { expect_golden(golden_point_set(), kGoldenPointSet); }
-TEST(GoldenWireFormat, StructuredGrid) { expect_golden(golden_grid(), kGoldenGrid); }
-TEST(GoldenWireFormat, TriangleMesh) { expect_golden(golden_mesh(), kGoldenTriangleMesh); }
-TEST(GoldenWireFormat, TetMesh) { expect_golden(golden_tets(), kGoldenTetMesh); }
+TEST(GoldenWireFormat, PointSet) {
+  expect_golden(golden_point_set(), kGoldenPointSet, kGoldenPointSetFrame);
+}
+TEST(GoldenWireFormat, StructuredGrid) {
+  expect_golden(golden_grid(), kGoldenGrid, kGoldenGridFrame);
+}
+TEST(GoldenWireFormat, TriangleMesh) {
+  expect_golden(golden_mesh(), kGoldenTriangleMesh, kGoldenTriangleMeshFrame);
+}
+TEST(GoldenWireFormat, TetMesh) {
+  expect_golden(golden_tets(), kGoldenTetMesh, kGoldenTetMeshFrame);
+}
 
 TEST(GoldenWireFormat, KeepaliveMessageMatchesFixtureWithoutFlattening) {
   // The zero-copy path (borrowed bulk segments pinned by a shared_ptr

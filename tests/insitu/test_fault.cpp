@@ -35,11 +35,20 @@ FaultConfig every_fault_config(std::uint64_t seed) {
   return cfg;
 }
 
-std::vector<std::uint8_t> sample_payload() {
+/// `bytes` as a one-segment message that owns its storage.
+WireMessage message_of(std::vector<std::uint8_t> bytes) {
+  WireMessage msg;
+  msg.append_owned(Buffer::adopt(std::move(bytes)));
+  return msg;
+}
+
+std::vector<std::uint8_t> sample_bytes() {
   PointSet ps(16);
   for (Index i = 0; i < 16; ++i) ps.set_position(i, {Real(i), Real(i) * 2, 0});
   return serialize_dataset(ps);
 }
+
+WireMessage sample_payload() { return message_of(sample_bytes()); }
 
 // ------------------------------------------------------- determinism
 
@@ -102,11 +111,10 @@ TEST(FaultSchedule, ZeroProbabilitiesArePassThrough) {
 // ------------------------------------------- detection at the framing
 
 TEST(FrameIntegrity, CorruptPayloadByteIsCaughtByCrc) {
-  const auto payload = sample_payload();
-  auto frame = frame_encode(payload);
+  auto frame = frame_encode_msg(sample_payload()).flatten();
   frame[kFrameHeaderBytes + 5] ^= 0x10; // damage one payload bit
   try {
-    frame_decode(frame);
+    frame_decode_msg(message_of(std::move(frame)));
     FAIL() << "corrupt frame was silently accepted";
   } catch (const TransportError& error) {
     EXPECT_EQ(error.code(), TransportErrorCode::kCorruptFrame);
@@ -128,7 +136,7 @@ TEST(FrameIntegrity, MessageLengthGuardAcceptsLimitRejectsAbove) {
   const std::uint64_t huge = kMaxMessageBytes + 1;
   for (int i = 0; i < 8; ++i)
     header[8 + std::size_t(i)] = std::uint8_t(huge >> (8 * i));
-  EXPECT_THROW(frame_decode(header), TransportError);
+  EXPECT_THROW(frame_decode_msg(message_of(std::move(header))), TransportError);
 }
 
 TEST(FaultInjector, InjectedBitFlipIsNeverSilentlyDeserialized) {
@@ -137,13 +145,13 @@ TEST(FaultInjector, InjectedBitFlipIsNeverSilentlyDeserialized) {
   cfg.seed = 9;
   cfg.p_bit_flip = 1.0;
   FaultInjector tx(std::move(a), cfg);
-  tx.send_framed(sample_payload());
+  tx.send_framed_msg(sample_payload());
   EXPECT_EQ(tx.faults_injected(), 1);
   // The flip may land anywhere in the frame (magic, CRC, length or
   // payload); whichever it hits, the framing layer must classify it —
   // the payload never reaches the deserializer.
   try {
-    b->recv_framed();
+    b->recv_framed_msg();
     FAIL() << "bit-flipped frame was delivered as valid";
   } catch (const TransportError& error) {
     EXPECT_TRUE(error.code() == TransportErrorCode::kCorruptFrame ||
@@ -161,9 +169,9 @@ TEST(FaultInjector, TruncatedFrameRaisesInsteadOfHanging) {
   cfg.p_truncate = 1.0;
   FaultInjector tx(std::move(a), cfg);
   b->set_recv_deadline(5.0);
-  tx.send_framed(sample_payload());
+  tx.send_framed_msg(sample_payload());
   try {
-    b->recv_framed();
+    b->recv_framed_msg();
     FAIL() << "truncated frame was delivered as valid";
   } catch (const TransportError& error) {
     EXPECT_EQ(error.code(), TransportErrorCode::kTruncated);
@@ -177,9 +185,9 @@ TEST(FaultInjector, InjectedRecvTimeoutIsClassified) {
   cfg.seed = 11;
   cfg.p_recv_timeout = 1.0;
   FaultInjector rx(std::move(b), cfg);
-  a->send_framed(sample_payload());
+  a->send_framed_msg(sample_payload());
   try {
-    rx.recv_framed();
+    rx.recv_framed_msg();
     FAIL() << "timed-out frame was delivered";
   } catch (const TransportError& error) {
     EXPECT_EQ(error.code(), TransportErrorCode::kTimeout);
@@ -194,9 +202,9 @@ TEST(FaultInjector, DelayStallsButDeliversIntact) {
   cfg.p_delay = 1.0;
   cfg.delay_ms = 1.0;
   FaultInjector tx(std::move(a), cfg);
-  const auto payload = sample_payload();
-  tx.send_framed(payload);
-  EXPECT_EQ(b->recv_framed(), payload);
+  const auto payload = sample_bytes();
+  tx.send_framed_msg(message_of(payload));
+  EXPECT_EQ(b->recv_framed_msg().flatten(), payload);
   EXPECT_EQ(tx.faults_injected(), 1);
 }
 
@@ -205,10 +213,11 @@ TEST(FaultInjector, DelayStallsButDeliversIntact) {
 TEST(TransferWithRetry, CleanChannelDeliversFirstTry) {
   auto [a, b] = make_inproc_channel();
   RobustnessReport report;
-  const auto payload = sample_payload();
-  const auto got = transfer_with_retry(*a, *b, payload, RetryPolicy{}, report);
+  const auto payload = sample_bytes();
+  const auto got =
+      transfer_with_retry(*a, *b, message_of(payload), RetryPolicy{}, report);
   ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(*got, payload);
+  EXPECT_EQ(got->flatten(), payload);
   EXPECT_EQ(report.frames_sent, 1);
   EXPECT_EQ(report.frames_delivered, 1);
   EXPECT_EQ(report.frames_retried, 0);
@@ -255,10 +264,11 @@ TEST(TransferWithRetry, TransientFaultIsRetriedToDelivery) {
   cfg.p_bit_flip = 0.5;
   FaultInjector tx(std::move(a), cfg);
   RobustnessReport report;
-  const auto payload = sample_payload();
-  const auto got = transfer_with_retry(tx, *b, payload, RetryPolicy{}, report);
+  const auto payload = sample_bytes();
+  const auto got =
+      transfer_with_retry(tx, *b, message_of(payload), RetryPolicy{}, report);
   ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(*got, payload);
+  EXPECT_EQ(got->flatten(), payload);
   EXPECT_EQ(report.frames_sent, 2);
   EXPECT_EQ(report.frames_retried, 1);
   EXPECT_EQ(report.frames_corrupt, 1);
@@ -307,7 +317,7 @@ TEST_F(FaultSocketTest, DeadPeerRaisesRecvTimeoutNotHang) {
   const WallTimer timer;
   viz_end->set_recv_deadline(0.2);
   try {
-    viz_end->recv(); // sim never sends
+    viz_end->recv_msg(); // sim never sends
     FAIL() << "recv returned without a sender";
   } catch (const TransportError& error) {
     EXPECT_EQ(error.code(), TransportErrorCode::kTimeout);
@@ -324,12 +334,12 @@ TEST_F(FaultSocketTest, TruncatedTcpStreamRaisesInsteadOfHanging) {
   const WallTimer timer;
   // A frame whose tail was lost in transit: the framing layer reports
   // truncation as soon as the (complete) message arrives short.
-  auto frame = frame_encode(sample_payload());
+  auto frame = frame_encode_msg(sample_payload()).flatten();
   frame.resize(frame.size() / 2);
-  sim_end->send(std::move(frame));
+  sim_end->send_msg(message_of(std::move(frame)));
   viz_end->set_recv_deadline(5.0);
   try {
-    viz_end->recv_framed();
+    viz_end->recv_framed_msg();
     FAIL() << "truncated frame was delivered as valid";
   } catch (const TransportError& error) {
     EXPECT_EQ(error.code(), TransportErrorCode::kTruncated);
@@ -337,7 +347,7 @@ TEST_F(FaultSocketTest, TruncatedTcpStreamRaisesInsteadOfHanging) {
   // The peer closing mid-stream is classified, not a hang.
   sim_end.reset();
   try {
-    viz_end->recv();
+    viz_end->recv_msg();
     FAIL() << "recv from a closed peer returned";
   } catch (const TransportError& error) {
     EXPECT_EQ(error.code(), TransportErrorCode::kConnectionClosed);

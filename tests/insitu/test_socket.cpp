@@ -29,6 +29,13 @@ protected:
   std::string layout_;
 };
 
+/// `bytes` as a one-segment message that owns its storage.
+WireMessage message_of(std::vector<std::uint8_t> bytes) {
+  WireMessage msg;
+  msg.append_owned(Buffer::adopt(std::move(bytes)));
+  return msg;
+}
+
 TEST_F(SocketTest, LayoutFilePublishReadRoundTrip) {
   layout_file_publish(layout_, {0, "127.0.0.1", 5001});
   layout_file_publish(layout_, {3, "127.0.0.1", 5002});
@@ -67,10 +74,10 @@ TEST_F(SocketTest, RendezvousAndMessageExchange) {
   ASSERT_NE(sim_end, nullptr);
   ASSERT_NE(viz_end, nullptr);
 
-  sim_end->send({10, 20, 30});
-  EXPECT_EQ(viz_end->recv(), (std::vector<std::uint8_t>{10, 20, 30}));
-  viz_end->send({});
-  EXPECT_TRUE(sim_end->recv().empty());
+  sim_end->send_msg(message_of({10, 20, 30}));
+  EXPECT_EQ(viz_end->recv_msg().flatten(), (std::vector<std::uint8_t>{10, 20, 30}));
+  viz_end->send_msg(WireMessage{});
+  EXPECT_TRUE(sim_end->recv_msg().empty());
   EXPECT_EQ(sim_end->bytes_sent(), 3u);
 }
 
@@ -85,8 +92,9 @@ TEST_F(SocketTest, MultipleRankPairsShareOneLayoutFile) {
   for (auto& t : threads) t.join();
   // Each pair is independent.
   for (int r = 0; r < kPairs; ++r) {
-    sims[static_cast<std::size_t>(r)]->send({static_cast<std::uint8_t>(r * 7)});
-    EXPECT_EQ(vizzes[static_cast<std::size_t>(r)]->recv()[0], r * 7);
+    sims[static_cast<std::size_t>(r)]->send_msg(
+        message_of({static_cast<std::uint8_t>(r * 7)}));
+    EXPECT_EQ(vizzes[static_cast<std::size_t>(r)]->recv_msg().flatten()[0], r * 7);
   }
 }
 

@@ -12,25 +12,32 @@
 namespace eth::insitu {
 namespace {
 
+/// `bytes` as a one-segment message that owns its storage.
+WireMessage message_of(std::vector<std::uint8_t> bytes) {
+  WireMessage msg;
+  msg.append_owned(Buffer::adopt(std::move(bytes)));
+  return msg;
+}
+
 TEST(InProcChannel, MessageRoundTrip) {
   auto [a, b] = make_inproc_channel();
-  a->send({1, 2, 3});
-  EXPECT_EQ(b->recv(), (std::vector<std::uint8_t>{1, 2, 3}));
-  b->send({9});
-  EXPECT_EQ(a->recv(), (std::vector<std::uint8_t>{9}));
+  a->send_msg(message_of({1, 2, 3}));
+  EXPECT_EQ(b->recv_msg().flatten(), (std::vector<std::uint8_t>{1, 2, 3}));
+  b->send_msg(message_of({9}));
+  EXPECT_EQ(a->recv_msg().flatten(), (std::vector<std::uint8_t>{9}));
 }
 
 TEST(InProcChannel, PreservesMessageOrder) {
   auto [a, b] = make_inproc_channel();
-  for (std::uint8_t i = 0; i < 10; ++i) a->send({i});
-  for (std::uint8_t i = 0; i < 10; ++i) EXPECT_EQ(b->recv()[0], i);
+  for (std::uint8_t i = 0; i < 10; ++i) a->send_msg(message_of({i}));
+  for (std::uint8_t i = 0; i < 10; ++i) EXPECT_EQ(b->recv_msg().flatten()[0], i);
 }
 
 TEST(InProcChannel, CountsBytesSentPerEndpoint) {
   auto [a, b] = make_inproc_channel();
-  a->send(std::vector<std::uint8_t>(100));
-  a->send(std::vector<std::uint8_t>(50));
-  b->send(std::vector<std::uint8_t>(7));
+  a->send_msg(message_of(std::vector<std::uint8_t>(100)));
+  a->send_msg(message_of(std::vector<std::uint8_t>(50)));
+  b->send_msg(message_of(std::vector<std::uint8_t>(7)));
   EXPECT_EQ(a->bytes_sent(), 150u);
   EXPECT_EQ(b->bytes_sent(), 7u);
 }
@@ -39,15 +46,15 @@ TEST(InProcChannel, BlockingRecvWaitsForSender) {
   auto [a, b] = make_inproc_channel();
   std::thread sender([&a] {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    a->send({42});
+    a->send_msg(message_of({42}));
   });
-  EXPECT_EQ(b->recv()[0], 42);
+  EXPECT_EQ(b->recv_msg().flatten()[0], 42);
   sender.join();
 }
 
 TEST(InProcChannel, PeerDestructionWakesBlockedReceiver) {
   auto [a, b] = make_inproc_channel();
-  std::thread receiver([&b] { EXPECT_THROW(b->recv(), Error); });
+  std::thread receiver([&b] { EXPECT_THROW(b->recv_msg(), Error); });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   a.reset(); // destroy the sender endpoint
   receiver.join();
@@ -93,16 +100,6 @@ TEST(InProcChannel, ScatterGatherMessageRoundTrip) {
   msg.append_borrowed(bulk);
   a->send_msg(msg);
   EXPECT_EQ(b->recv_msg().flatten(), (std::vector<std::uint8_t>{1, 2, 3, 4, 5}));
-}
-
-TEST(InProcChannel, MessageAndRawPathsInteroperate) {
-  auto [a, b] = make_inproc_channel();
-  WireMessage msg;
-  msg.append_owned(Buffer::copy_of(std::vector<std::uint8_t>{7, 8}));
-  a->send_msg(msg);
-  EXPECT_EQ(b->recv(), (std::vector<std::uint8_t>{7, 8})); // msg -> raw recv
-  a->send({9, 10});
-  EXPECT_EQ(b->recv_msg().flatten(), (std::vector<std::uint8_t>{9, 10})); // raw -> msg recv
 }
 
 TEST(InProcChannel, UnownedSegmentsAreCopiedAtEnqueue) {

@@ -41,6 +41,13 @@ protected:
   std::filesystem::path dir_;
 };
 
+/// `bytes` as a one-segment message that owns its storage.
+WireMessage message_of(std::vector<std::uint8_t> bytes) {
+  WireMessage msg;
+  msg.append_owned(Buffer::adopt(std::move(bytes)));
+  return msg;
+}
+
 TEST_F(EndToEndTest, DumpProxyRenderCompositePipeline) {
   // 1. "Preliminary run": generate + partition + dump per rank.
   constexpr int kRanks = 3;
@@ -129,15 +136,15 @@ TEST_F(EndToEndTest, InternodeSocketSurvivesCorruptFrameAndDisconnect) {
   sim::HaccParams params;
   params.num_particles = 500;
   const auto data = sim::generate_hacc(params);
-  const auto payload = serialize_dataset(*data);
+  const WireMessage payload = wire_message_for_dataset(*data);
 
   const WallTimer timer;
   std::thread sim_proxy([&] {
     auto transport = insitu::socket_listen(layout_path, 0, 15.0);
-    transport->send_framed(payload);
-    auto corrupt = insitu::frame_encode(payload);
+    transport->send_framed_msg(payload);
+    auto corrupt = insitu::frame_encode_msg(payload).flatten();
     corrupt[insitu::kFrameHeaderBytes + 3] ^= 0x40; // damage below the CRC
-    transport->send(std::move(corrupt));
+    transport->send_msg(message_of(std::move(corrupt)));
     // Destroying the transport here is the mid-run disconnect: the
     // receiver still expects more timesteps.
   });
@@ -177,21 +184,22 @@ TEST_F(EndToEndTest, InternodeSocketSurvivesCorruptCompressedFrameAndDisconnect)
   sim::HaccParams params;
   params.num_particles = 500;
   const auto data = sim::generate_hacc(params);
-  const auto payload = serialize_dataset(*data);
+  const WireMessage payload = wire_message_for_dataset(*data);
 
   // The HACC payload must actually take the compressed branch, or
   // this test silently degrades into the stored-frame one.
-  const auto lz_frame = insitu::frame_encode(payload, insitu::WireCodec::kLz4);
-  ASSERT_LT(lz_frame.size(), insitu::frame_encode(payload).size());
+  const auto lz_frame =
+      insitu::frame_encode_msg(payload, insitu::WireCodec::kLz4).flatten();
+  ASSERT_LT(lz_frame.size(), insitu::frame_encode_msg(payload).total_bytes());
   ASSERT_EQ(lz_frame[3], 0x5A); // 'Z' of the little-endian "ETHZ" magic
 
   const WallTimer timer;
   std::thread sim_proxy([&] {
     auto transport = insitu::socket_listen(layout_path, 0, 15.0);
-    transport->send_framed(payload, insitu::WireCodec::kLz4);
+    transport->send_framed_msg(payload, insitu::WireCodec::kLz4);
     auto corrupt = lz_frame;
     corrupt[insitu::kLzFrameHeaderBytes + 3] ^= 0x40; // damage a coded byte
-    transport->send(std::move(corrupt));
+    transport->send_msg(message_of(std::move(corrupt)));
     // Destroying the transport here is the mid-run disconnect.
   });
 

@@ -186,12 +186,15 @@ TEST(BorrowedCpu, WorkerChunksAreCreditedToTheCaller) {
   ThreadPool pool(4);
   const double before = borrowed_cpu_seconds();
   const KernelTimer timer;
-  volatile double sink = 0;
+  std::mutex sink_mutex;
+  double sink = 0;
   parallel_for(pool, 0, 400'000, 1000, [&](Index b, Index e) {
     double local = 0;
     for (Index i = b; i < e; ++i) local += double(i) * 1e-9;
-    sink = sink + local;
+    const std::lock_guard<std::mutex> lock(sink_mutex);
+    sink += local;
   });
+  EXPECT_GT(sink, 0.0);
   // Monotone accumulator; with >1 worker the loop fans out, so the
   // worker-executed chunks' CPU must land here rather than vanish.
   EXPECT_GT(borrowed_cpu_seconds(), before);

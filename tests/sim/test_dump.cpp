@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <string>
+#include <unistd.h>
 
 #include "data/point_set.hpp"
 #include "sim/hacc_generator.hpp"
@@ -13,7 +15,13 @@ namespace {
 class DumpTest : public ::testing::Test {
 protected:
   void SetUp() override {
-    dir_ = (std::filesystem::temp_directory_path() / "eth_dump_test").string();
+    // Per-test, per-process directory: ctest runs every TEST_F as its
+    // own process, possibly in parallel, and TearDown deletes the tree.
+    dir_ = (std::filesystem::temp_directory_path() /
+            ("eth_dump_test_" +
+             std::string(::testing::UnitTest::GetInstance()->current_test_info()->name()) +
+             "_" + std::to_string(::getpid())))
+               .string();
     std::filesystem::remove_all(dir_);
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }

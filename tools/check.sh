@@ -31,7 +31,7 @@ run_variant build-release -DCMAKE_BUILD_TYPE=Release
 # bit-identical images with the cache off, cold, or warm. Run the gate
 # by name so a filter typo can't silently skip it.
 echo "==== cache equivalence (build-release) ===="
-ctest --test-dir build-release --output-on-failure -R 'CacheEquivalence'
+ctest --test-dir build-release --output-on-failure --no-tests=error -R 'CacheEquivalence'
 
 # SimdGate (DESIGN.md §14): the lane layer promises every image,
 # counter table and robustness row bit-identical across ETH_SIMD=scalar
@@ -41,7 +41,7 @@ ctest --test-dir build-release --output-on-failure -R 'CacheEquivalence'
 # pin the ISA internally, so one pass covers every dispatch path the
 # host supports. Run it by name so a filter typo can't silently skip it.
 echo "==== simd gate (build-release) ===="
-ctest --test-dir build-release --output-on-failure -R 'SimdGate'
+ctest --test-dir build-release --output-on-failure --no-tests=error -R 'SimdGate'
 
 # Trace gate (DESIGN.md §11): run a miniature faulted sweep end-to-end
 # with ETH_TRACE on and validate the exported Chrome trace — JSON
@@ -52,7 +52,7 @@ ctest --test-dir build-release --output-on-failure -R 'SimdGate'
 # covered by the e2e trace test, run here by name so a filter typo
 # cannot silently skip it.
 echo "==== trace gate (build-release) ===="
-ctest --test-dir build-release --output-on-failure \
+ctest --test-dir build-release --output-on-failure --no-tests=error \
   -R 'Trace.SocketCoupledExchangeTracesEveryTransportPhase'
 trace_json="$(mktemp /tmp/eth_trace_gate.XXXXXX.json)"
 ETH_TRACE="${trace_json}" ./build-release/tools/eth_explore tools/trace_gate.cfg
@@ -71,7 +71,7 @@ rm -f "${trace_json}"
 # codecs. Run the codec, LZ and compression-hardening suites by name so
 # a filter typo cannot silently skip them.
 echo "==== codec gate (build-release) ===="
-ctest --test-dir build-release --output-on-failure \
+ctest --test-dir build-release --output-on-failure --no-tests=error \
   -R 'CodecEquivalence|LzCodec|GoldenWireFormat|QuantizePack|CompressDataset'
 
 # TSan with a multi-worker pool even on small machines: a 1-worker pool
@@ -88,7 +88,7 @@ ETH_THREADS="${ETH_THREADS:-4}" TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" 
 # filtered out of the sanitized pass by accident.
 echo "==== trace tests (build-tsan) ===="
 ETH_THREADS="${ETH_THREADS:-4}" TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
-  ctest --test-dir build-tsan --output-on-failure -R 'Trace'
+  ctest --test-dir build-tsan --output-on-failure --no-tests=error -R 'Trace'
 
 # SimdGate under TSan: the vector march and blend kernels run inside
 # the same pool fan-out as the scalar paths, and the dispatch table is
@@ -97,7 +97,7 @@ ETH_THREADS="${ETH_THREADS:-4}" TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" 
 # introduce shared mutable state between pool workers.
 echo "==== simd gate (build-tsan) ===="
 ETH_THREADS="${ETH_THREADS:-4}" TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
-  ctest --test-dir build-tsan --output-on-failure -R 'SimdGate'
+  ctest --test-dir build-tsan --output-on-failure --no-tests=error -R 'SimdGate'
 
 # CodecGate under TSan: frame compression runs on stage workers and
 # rank threads concurrently, and the codec resolution (ETH_WIRE_CODEC)
@@ -105,7 +105,7 @@ ETH_THREADS="${ETH_THREADS:-4}" TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" 
 # verifies the once-resolution and the atomic counter tees.
 echo "==== codec gate (build-tsan) ===="
 ETH_THREADS="${ETH_THREADS:-4}" TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
-  ctest --test-dir build-tsan --output-on-failure -R 'CodecEquivalence|LzCodec'
+  ctest --test-dir build-tsan --output-on-failure --no-tests=error -R 'CodecEquivalence|LzCodec'
 
 # SweepGate (DESIGN.md §12): the concurrent sweep scheduler promises
 # bit-identical artifacts at any ETH_SWEEP_WORKERS, which means
@@ -118,7 +118,7 @@ ETH_THREADS="${ETH_THREADS:-4}" TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" 
 echo "==== sweep gate (build-tsan, ETH_SWEEP_WORKERS=4) ===="
 ETH_THREADS="${ETH_THREADS:-4}" ETH_SWEEP_WORKERS="${ETH_SWEEP_WORKERS:-4}" \
   TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
-  ctest --test-dir build-tsan --output-on-failure \
+  ctest --test-dir build-tsan --output-on-failure --no-tests=error \
   -R 'SweepScheduler|SweepEquivalence|TaskGroup'
 
 # AsyncGate (DESIGN.md §13): the staged pipeline engine promises
@@ -134,7 +134,7 @@ echo "==== async gate (build-tsan, ETH_PIPELINE_DEPTH=2) ===="
 ETH_THREADS="${ETH_THREADS:-4}" ETH_SWEEP_WORKERS="${ETH_SWEEP_WORKERS:-2}" \
   ETH_PIPELINE_DEPTH="${ETH_PIPELINE_DEPTH:-2}" \
   TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
-  ctest --test-dir build-tsan --output-on-failure \
+  ctest --test-dir build-tsan --output-on-failure --no-tests=error \
   -R 'PipelineEquivalence|StagePipeline|BoundedChannel|PhaseAccounting'
 
 # Second half of the async gate, on the release build: resolve the gate
@@ -163,7 +163,7 @@ asan_variant() {
   echo "==== build ${dir} ===="
   cmake --build "${dir}" -j "${jobs}"
   echo "==== test ${dir} (data + insitu + buffer suites) ===="
-  ctest --test-dir "${dir}" --output-on-failure \
+  ctest --test-dir "${dir}" --output-on-failure --no-tests=error \
     -R 'Buffer|CowArray|DataPlane|WireMessage|Serialize|GoldenWireFormat|InProc|Socket|Fault|Frame|Transport|LzCodec|CodecEquivalence|QuantizePack|CompressDataset'
 }
 ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1}" asan_variant
