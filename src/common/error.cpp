@@ -2,13 +2,7 @@
 
 namespace eth {
 
-void require(bool condition, const std::string& message) {
-  if (!condition) {
-    throw Error(message);
-  }
-}
-
-void fail(const std::string& message) { throw Error(message); }
+void fail(std::string_view message) { throw Error(std::string(message)); }
 
 const char* to_string(TransportErrorCode code) {
   switch (code) {
@@ -25,9 +19,8 @@ const char* to_string(TransportErrorCode code) {
 TransportError::TransportError(TransportErrorCode code, const std::string& what)
     : Error(std::string("[") + to_string(code) + "] " + what), code_(code) {}
 
-void require_transport(bool condition, TransportErrorCode code,
-                       const std::string& message) {
-  if (!condition) throw TransportError(code, message);
+void fail_transport(TransportErrorCode code, std::string_view message) {
+  throw TransportError(code, std::string(message));
 }
 
 } // namespace eth

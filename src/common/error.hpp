@@ -8,6 +8,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace eth {
 
@@ -17,13 +18,18 @@ public:
   explicit Error(const std::string& what) : std::runtime_error(what) {}
 };
 
-/// Throw eth::Error with `message` when `condition` is false.
-/// Usage: require(n >= 0, "particle count must be non-negative");
-void require(bool condition, const std::string& message);
-
 /// Unconditionally raise an eth::Error (for unreachable branches and
 /// unsupported enum values).
-[[noreturn]] void fail(const std::string& message);
+[[noreturn]] void fail(std::string_view message);
+
+/// Throw eth::Error with `message` when `condition` is false.
+/// Usage: require(n >= 0, "particle count must be non-negative");
+/// Inline and allocation-free when the check passes: a string literal
+/// is passed as a view, and the exception's message string is built
+/// only when the check fails.
+inline void require(bool condition, std::string_view message) {
+  if (!condition) [[unlikely]] fail(message);
+}
 
 /// Failure taxonomy for the in-situ transport path (DESIGN.md §8).
 /// Every transport-layer failure is classified so callers can decide
@@ -51,8 +57,16 @@ private:
   TransportErrorCode code_;
 };
 
+/// Unconditionally raise TransportError(code, message).
+[[noreturn]] void fail_transport(TransportErrorCode code,
+                                 std::string_view message);
+
 /// Throw TransportError(code, message) when `condition` is false.
-void require_transport(bool condition, TransportErrorCode code,
-                       const std::string& message);
+/// Inline and allocation-free when the check passes, which is what lets
+/// the LZ decoder check every field of untrusted input.
+inline void require_transport(bool condition, TransportErrorCode code,
+                              std::string_view message) {
+  if (!condition) [[unlikely]] fail_transport(code, message);
+}
 
 } // namespace eth
