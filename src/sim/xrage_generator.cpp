@@ -1,7 +1,10 @@
 #include "sim/xrage_generator.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -11,42 +14,121 @@ namespace eth::sim {
 
 namespace {
 
-/// Deterministic lattice hash -> [0, 1).
-Real lattice_noise(std::uint64_t seed, Index i, Index j, Index k) {
-  SplitMix64 sm(seed ^ (0x9E3779B97F4A7C15ull * static_cast<std::uint64_t>(i + 1)) ^
-                (0xBF58476D1CE4E5B9ull * static_cast<std::uint64_t>(j + 1)) ^
-                (0x94D049BB133111EBull * static_cast<std::uint64_t>(k + 1)));
+/// Deterministic lattice hash -> [0, 1). `key` is the octave seed XOR
+/// the three per-axis terms (see AxisLattice::term).
+Real lattice_value(std::uint64_t key) {
+  SplitMix64 sm(key);
   return Real(double(sm.next() >> 11) * 0x1.0p-53);
 }
 
-/// Trilinear value noise at continuous lattice position.
-Real value_noise(std::uint64_t seed, Vec3f p) {
-  const auto fi = static_cast<Index>(std::floor(p.x));
-  const auto fj = static_cast<Index>(std::floor(p.y));
-  const auto fk = static_cast<Index>(std::floor(p.z));
-  const Real fx = p.x - Real(fi), fy = p.y - Real(fj), fz = p.z - Real(fk);
-  const auto s = [&](Index di, Index dj, Index dk) {
-    return lattice_noise(seed, fi + di, fj + dj, fk + dk);
-  };
-  const Real c00 = lerp(s(0, 0, 0), s(1, 0, 0), fx);
-  const Real c10 = lerp(s(0, 1, 0), s(1, 1, 0), fx);
-  const Real c01 = lerp(s(0, 0, 1), s(1, 0, 1), fx);
-  const Real c11 = lerp(s(0, 1, 1), s(1, 1, 1), fx);
-  return lerp(lerp(c00, c10, fy), lerp(c01, c11, fy), fz);
+/// Per-axis coordinates (x, y, z), one per grid index of a block.
+using Axes = std::array<std::vector<Real>, 3>;
+
+/// One axis of one noise octave over a block. Grid index `n` on this
+/// axis sits in lattice cell floor(p[n]) with fraction p[n] - cell; `lo`
+/// and `hi` are the table offsets (slot * stride) of that cell and the
+/// next one. Slots are compact: only cells some index touches get one.
+struct AxisLattice {
+  std::vector<std::size_t> lo, hi;
+  std::vector<Real> frac;
+  std::vector<std::uint64_t> term; ///< per slot: multiplier * (cell + 1)
+};
+
+AxisLattice make_axis(const std::vector<Real>& p, std::uint64_t multiplier,
+                      std::size_t stride) {
+  const std::size_t n = p.size();
+  AxisLattice a;
+  a.lo.resize(n);
+  a.hi.resize(n);
+  a.frac.resize(n);
+  std::vector<Index> cell(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    cell[i] = static_cast<Index>(std::floor(p[i]));
+    a.frac[i] = p[i] - Real(cell[i]);
+  }
+  const auto [min_it, max_it] = std::minmax_element(cell.begin(), cell.end());
+  const Index base = *min_it;
+  // slot_of[c - base] for c in [min, max + 1]; -1 = untouched.
+  std::vector<std::ptrdiff_t> slot_of(static_cast<std::size_t>(*max_it - base + 2), -1);
+  for (const Index c : cell) {
+    slot_of[static_cast<std::size_t>(c - base)] = 0;
+    slot_of[static_cast<std::size_t>(c - base + 1)] = 0;
+  }
+  for (std::size_t s = 0; s < slot_of.size(); ++s) {
+    if (slot_of[s] < 0) continue;
+    slot_of[s] = static_cast<std::ptrdiff_t>(a.term.size());
+    a.term.push_back(multiplier * static_cast<std::uint64_t>(base + Index(s) + 1));
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto s = static_cast<std::size_t>(cell[i] - base);
+    a.lo[i] = static_cast<std::size_t>(slot_of[s]) * stride;
+    a.hi[i] = static_cast<std::size_t>(slot_of[s + 1]) * stride;
+  }
+  return a;
 }
 
-/// 4-octave fractal noise in [0, 1).
-Real fbm(std::uint64_t seed, Vec3f p) {
-  Real sum = 0, amp = Real(0.5);
-  Real norm = 0;
-  for (int octave = 0; octave < 4; ++octave) {
-    sum += amp * value_noise(seed + static_cast<std::uint64_t>(octave) * 7919u, p);
-    norm += amp;
-    p = p * Real(2.03);
-    amp *= Real(0.5);
+/// One octave of value noise tabulated over a block: the lattice hash
+/// of every (x, y, z) slot triple, at most 8 entries per grid point.
+struct NoiseOctave {
+  AxisLattice x, y, z;
+  std::vector<Real> table;
+
+  NoiseOctave(std::uint64_t seed, const Axes& p)
+      : x(make_axis(p[0], 0x9E3779B97F4A7C15ull, 1)),
+        y(make_axis(p[1], 0xBF58476D1CE4E5B9ull, x.term.size())),
+        z(make_axis(p[2], 0x94D049BB133111EBull, x.term.size() * y.term.size())) {
+    table.reserve(x.term.size() * y.term.size() * z.term.size());
+    for (const std::uint64_t tz : z.term)
+      for (const std::uint64_t ty : y.term)
+        for (const std::uint64_t tx : x.term) table.push_back(lattice_value(seed ^ tx ^ ty ^ tz));
   }
-  return sum / norm;
-}
+
+  /// Trilinear value noise at grid index (i, j, k) of the block.
+  Real at(Index i, Index j, Index k) const {
+    const auto ui = static_cast<std::size_t>(i), uj = static_cast<std::size_t>(j),
+               uk = static_cast<std::size_t>(k);
+    const std::size_t x0 = x.lo[ui], x1 = x.hi[ui];
+    const std::size_t y0 = y.lo[uj], y1 = y.hi[uj];
+    const std::size_t z0 = z.lo[uk], z1 = z.hi[uk];
+    const Real* v = table.data();
+    const Real fx = x.frac[ui], fy = y.frac[uj], fz = z.frac[uk];
+    const Real c00 = lerp(v[x0 + y0 + z0], v[x1 + y0 + z0], fx);
+    const Real c10 = lerp(v[x0 + y1 + z0], v[x1 + y1 + z0], fx);
+    const Real c01 = lerp(v[x0 + y0 + z1], v[x1 + y0 + z1], fx);
+    const Real c11 = lerp(v[x0 + y1 + z1], v[x1 + y1 + z1], fx);
+    return lerp(lerp(c00, c10, fy), lerp(c01, c11, fy), fz);
+  }
+};
+
+/// 4-octave fractal noise in [0, 1), tabulated over a block. The noise
+/// position is separable: each axis's coordinate depends only on that
+/// axis's grid index, so `p` gives it per axis and index, and each
+/// octave scales it by 2.03 exactly as the pointwise sum would.
+class FractalNoise {
+public:
+  FractalNoise(std::uint64_t seed, Axes p) {
+    octaves_.reserve(4);
+    for (int octave = 0; octave < 4; ++octave) {
+      octaves_.emplace_back(seed + static_cast<std::uint64_t>(octave) * 7919u, p);
+      for (std::vector<Real>& axis : p)
+        for (Real& v : axis) v = v * Real(2.03);
+    }
+  }
+
+  Real at(Index i, Index j, Index k) const {
+    Real sum = 0, amp = Real(0.5);
+    Real norm = 0;
+    for (const NoiseOctave& o : octaves_) {
+      sum += amp * o.at(i, j, k);
+      norm += amp;
+      amp *= Real(0.5);
+    }
+    return sum / norm;
+  }
+
+private:
+  std::vector<NoiseOctave> octaves_;
+};
 
 } // namespace
 
@@ -153,14 +235,15 @@ std::unique_ptr<StructuredGrid> generate_xrage_block(const XrageParams& p, Vec3i
   const Vec3f origin{spacing_val * Real(lo.x), spacing_val * Real(lo.y),
                      spacing_val * Real(lo.z)};
   auto grid = std::make_unique<StructuredGrid>(dims, origin, spacing);
-  // Add all fields before taking references: each add may reallocate
-  // the collection's storage, invalidating references taken earlier.
+  // Add all fields before taking spans: each add may reallocate the
+  // collection's storage. Each span is taken once (one copy-on-write
+  // check per field, not per write).
   grid->add_scalar_field("temperature");
   grid->add_scalar_field("density");
   grid->add_scalar_field("pressure");
-  Field& temperature = grid->point_fields().get("temperature");
-  Field& density = grid->point_fields().get("density");
-  Field& pressure = grid->point_fields().get("pressure");
+  const std::span<Real> temperature = grid->point_fields().get("temperature").values();
+  const std::span<Real> density = grid->point_fields().get("density").values();
+  const std::span<Real> pressure = grid->point_fields().get("pressure").values();
 
   // Impact geometry: strike point on the "ground" (y = 0 plane) at the
   // domain's x/z center. The shock radius grows with sqrt(t) (Sedov-
@@ -174,19 +257,33 @@ std::unique_ptr<StructuredGrid> generate_xrage_block(const XrageParams& p, Vec3i
   const Real plume_height = p.domain_size * Real(0.06) * t;
   const Real noise_scale = Real(6) / p.domain_size;
 
+  // Evaluate at the GLOBAL lattice position (spacing * global index) so
+  // a block is bit-identical to the same region of the full grid;
+  // origin + spacing*local would differ by ULPs. Every position and
+  // noise coordinate is separable, so each is computed once per axis.
+  Axes pos, plume_p, rough_p;
+  for (int a = 0; a < 3; ++a) {
+    for (Index n = 0; n < dims[a]; ++n) {
+      const Real x = spacing_val * Real(lo[a] + n);
+      pos[a].push_back(x);
+      plume_p[a].push_back(x * noise_scale + (a == 1 ? t * Real(0.7) : Real(0)));
+      rough_p[a].push_back(x * noise_scale * Real(2));
+    }
+  }
+  const FractalNoise plume_noise(p.seed, std::move(plume_p));
+  const FractalNoise rough_noise(p.seed + 1, std::move(rough_p));
+
+  std::size_t idx = 0;
   for (Index k = 0; k < dims.z; ++k)
     for (Index j = 0; j < dims.y; ++j)
-      for (Index i = 0; i < dims.x; ++i) {
-        // Evaluate at the GLOBAL lattice position (spacing * global
-        // index) so a block is bit-identical to the same region of the
-        // full grid; origin + spacing*local would differ by ULPs.
-        const Vec3f pos{spacing_val * Real(lo.x + i), spacing_val * Real(lo.y + j),
-                        spacing_val * Real(lo.z + k)};
-        const Vec3f rel{pos.x - sx, pos.y - sy, pos.z - sz};
+      for (Index i = 0; i < dims.x; ++i, ++idx) {
+        const Vec3f pt{pos[0][static_cast<std::size_t>(i)], pos[1][static_cast<std::size_t>(j)],
+                       pos[2][static_cast<std::size_t>(k)]};
+        const Vec3f rel{pt.x - sx, pt.y - sy, pt.z - sz};
         const Real r = length(rel);
 
         // Ambient stratification: cool with altitude.
-        Real temp = Real(0.08) * (Real(1) - pos.y / (p.domain_size * Real(0.6)));
+        Real temp = Real(0.08) * (Real(1) - pt.y / (p.domain_size * Real(0.6)));
         temp = std::max(temp, Real(0.02));
 
         // Crater / fireball core: hot inside ~half the shock radius.
@@ -201,23 +298,22 @@ std::unique_ptr<StructuredGrid> generate_xrage_block(const XrageParams& p, Vec3i
         // Rising turbulent plume above the strike point.
         const Real horiz2 = rel.x * rel.x + rel.z * rel.z;
         const Real plume_r = shock_radius * Real(0.5) *
-                             (Real(0.4) + Real(0.6) * pos.y / std::max(plume_height, Real(1e-3)));
-        if (pos.y > 0 && pos.y < plume_height && horiz2 < plume_r * plume_r) {
-          const Real n = fbm(p.seed, pos * noise_scale + Vec3f{0, t * Real(0.7), 0});
-          temp += Real(0.35) * n * (Real(1) - pos.y / plume_height);
+                             (Real(0.4) + Real(0.6) * pt.y / std::max(plume_height, Real(1e-3)));
+        if (pt.y > 0 && pt.y < plume_height && horiz2 < plume_r * plume_r) {
+          const Real n = plume_noise.at(i, j, k);
+          temp += Real(0.35) * n * (Real(1) - pt.y / plume_height);
         }
 
         // Turbulence roughens everything near the event.
-        const Real rough = fbm(p.seed + 1, pos * noise_scale * Real(2));
+        const Real rough = rough_noise.at(i, j, k);
         temp *= Real(0.9) + Real(0.2) * rough;
         temp = clamp(temp, Real(0), Real(1));
 
-        const Index idx = grid->point_index(i, j, k);
-        temperature.set(idx, temp);
+        temperature[idx] = temp;
         // Crude equation-of-state companions (exercised by multi-field
         // pipelines and tests, not by the paper's figures).
-        density.set(idx, clamp(Real(1.2) - temp + Real(0.3) * shell, Real(0.05), Real(2)));
-        pressure.set(idx, clamp(temp * (Real(0.8) + Real(0.4) * core), Real(0), Real(2)));
+        density[idx] = clamp(Real(1.2) - temp + Real(0.3) * shell, Real(0.05), Real(2));
+        pressure[idx] = clamp(temp * (Real(0.8) + Real(0.4) * core), Real(0), Real(2));
       }
 
   return grid;

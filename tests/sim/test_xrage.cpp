@@ -2,8 +2,119 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <vector>
+
+#include "common/rng.hpp"
+
 namespace eth::sim {
 namespace {
+
+constexpr const char* kFields[] = {"temperature", "density", "pressure"};
+
+// Pointwise reference for generate_xrage_block: the per-point lattice
+// hash, trilinear value noise and 4-octave fbm that the generator
+// replaces with per-block hash tables. The generator must reproduce
+// these fields bit for bit.
+Real ref_lattice_noise(std::uint64_t seed, Index i, Index j, Index k) {
+  SplitMix64 sm(seed ^ (0x9E3779B97F4A7C15ull * static_cast<std::uint64_t>(i + 1)) ^
+                (0xBF58476D1CE4E5B9ull * static_cast<std::uint64_t>(j + 1)) ^
+                (0x94D049BB133111EBull * static_cast<std::uint64_t>(k + 1)));
+  return Real(double(sm.next() >> 11) * 0x1.0p-53);
+}
+
+Real ref_value_noise(std::uint64_t seed, Vec3f p) {
+  const auto fi = static_cast<Index>(std::floor(p.x));
+  const auto fj = static_cast<Index>(std::floor(p.y));
+  const auto fk = static_cast<Index>(std::floor(p.z));
+  const Real fx = p.x - Real(fi), fy = p.y - Real(fj), fz = p.z - Real(fk);
+  const auto s = [&](Index di, Index dj, Index dk) {
+    return ref_lattice_noise(seed, fi + di, fj + dj, fk + dk);
+  };
+  const Real c00 = lerp(s(0, 0, 0), s(1, 0, 0), fx);
+  const Real c10 = lerp(s(0, 1, 0), s(1, 1, 0), fx);
+  const Real c01 = lerp(s(0, 0, 1), s(1, 0, 1), fx);
+  const Real c11 = lerp(s(0, 1, 1), s(1, 1, 1), fx);
+  return lerp(lerp(c00, c10, fy), lerp(c01, c11, fy), fz);
+}
+
+Real ref_fbm(std::uint64_t seed, Vec3f p) {
+  Real sum = 0, amp = Real(0.5);
+  Real norm = 0;
+  for (int octave = 0; octave < 4; ++octave) {
+    sum += amp * ref_value_noise(seed + static_cast<std::uint64_t>(octave) * 7919u, p);
+    norm += amp;
+    p = p * Real(2.03);
+    amp *= Real(0.5);
+  }
+  return sum / norm;
+}
+
+/// Temperature, density and pressure of block [lo, hi), x fastest.
+std::vector<std::vector<Real>> ref_block(const XrageParams& p, Vec3i lo, Vec3i hi) {
+  const Real spacing_val = p.domain_size / Real(p.dims.x - 1);
+  const Vec3i dims{hi.x - lo.x, hi.y - lo.y, hi.z - lo.z};
+  const auto n = static_cast<std::size_t>(dims.x * dims.y * dims.z);
+  std::vector<std::vector<Real>> fields(3, std::vector<Real>(n));
+  const Real sx = p.domain_size * Real(0.5);
+  const Real sy = Real(0);
+  const Real sz = spacing_val * Real(p.dims.z - 1) * Real(0.5);
+  const Real t = Real(1) + Real(p.timestep);
+  const Real shock_radius = Real(0.9) * std::sqrt(t) * p.domain_size * Real(0.08);
+  const Real shock_width = shock_radius * Real(0.25);
+  const Real plume_height = p.domain_size * Real(0.06) * t;
+  const Real noise_scale = Real(6) / p.domain_size;
+  std::size_t idx = 0;
+  for (Index k = 0; k < dims.z; ++k)
+    for (Index j = 0; j < dims.y; ++j)
+      for (Index i = 0; i < dims.x; ++i, ++idx) {
+        const Vec3f pos{spacing_val * Real(lo.x + i), spacing_val * Real(lo.y + j),
+                        spacing_val * Real(lo.z + k)};
+        const Vec3f rel{pos.x - sx, pos.y - sy, pos.z - sz};
+        const Real r = length(rel);
+        Real temp = Real(0.08) * (Real(1) - pos.y / (p.domain_size * Real(0.6)));
+        temp = std::max(temp, Real(0.02));
+        const Real core = std::exp(-(r * r) / (shock_radius * shock_radius * Real(0.18)));
+        temp += Real(0.85) * core;
+        const Real shell = std::exp(-((r - shock_radius) * (r - shock_radius)) /
+                                    (2 * shock_width * shock_width));
+        temp += Real(0.45) * shell;
+        const Real horiz2 = rel.x * rel.x + rel.z * rel.z;
+        const Real plume_r = shock_radius * Real(0.5) *
+                             (Real(0.4) + Real(0.6) * pos.y / std::max(plume_height, Real(1e-3)));
+        if (pos.y > 0 && pos.y < plume_height && horiz2 < plume_r * plume_r) {
+          const Real nz = ref_fbm(p.seed, pos * noise_scale + Vec3f{0, t * Real(0.7), 0});
+          temp += Real(0.35) * nz * (Real(1) - pos.y / plume_height);
+        }
+        const Real rough = ref_fbm(p.seed + 1, pos * noise_scale * Real(2));
+        temp *= Real(0.9) + Real(0.2) * rough;
+        temp = clamp(temp, Real(0), Real(1));
+        fields[0][idx] = temp;
+        fields[1][idx] = clamp(Real(1.2) - temp + Real(0.3) * shell, Real(0.05), Real(2));
+        fields[2][idx] = clamp(temp * (Real(0.8) + Real(0.4) * core), Real(0), Real(2));
+      }
+  return fields;
+}
+
+/// True when every field of `block` (covering [lo, hi) of `full`'s
+/// index space) equals that region of `full` bit for bit.
+bool block_matches_region(const StructuredGrid& block, const StructuredGrid& full, Vec3i lo) {
+  const Vec3i d = block.dims();
+  for (const char* name : kFields) {
+    const std::span<const Real> b = block.point_fields().get(name).values();
+    const std::span<const Real> f = full.point_fields().get(name).values();
+    for (Index k = 0; k < d.z; ++k)
+      for (Index j = 0; j < d.y; ++j) {
+        const Real* brow = b.data() + block.point_index(0, j, k);
+        const Real* frow = f.data() + full.point_index(lo.x, lo.y + j, lo.z + k);
+        if (std::memcmp(brow, frow, static_cast<std::size_t>(d.x) * sizeof(Real)) != 0)
+          return false;
+      }
+  }
+  return true;
+}
 
 TEST(XrageGenerator, ProblemSizesMatchPaperRatios) {
   const auto s = XrageParams::small_problem();
@@ -76,13 +187,43 @@ TEST(XrageGenerator, BlockEqualsFullGridRegion) {
   const auto full = generate_xrage(p);
   const auto block = generate_xrage_block(p, {4, 2, 3}, {12, 10, 9});
   EXPECT_EQ(block->dims(), (Vec3i{8, 8, 6}));
-  const Field& bf = block->point_fields().get("temperature");
-  const Field& ff = full->point_fields().get("temperature");
-  for (Index k = 0; k < 6; ++k)
-    for (Index j = 0; j < 8; ++j)
-      for (Index i = 0; i < 8; ++i)
-        EXPECT_EQ(bf.get(block->point_index(i, j, k)),
-                  ff.get(full->point_index(i + 4, j + 2, k + 3)));
+  EXPECT_TRUE(block_matches_region(*block, *full, {4, 2, 3}));
+  // Noise tables are built per block, so every share of a partitioned
+  // run must still equal its region of the full grid, in every field.
+  for (const int parts : {4, 8})
+    for (int share = 0; share < parts; ++share) {
+      const auto [lo, hi] = grid_block_range(p.dims, share, parts);
+      const auto b = generate_xrage_block(p, lo, hi);
+      EXPECT_TRUE(block_matches_region(*b, *full, lo))
+          << "parts " << parts << " share " << share;
+    }
+}
+
+TEST(XrageGenerator, TabledNoiseMatchesPointwiseReference) {
+  // On the 8^3 grid neighbouring indices skip lattice cells in the high
+  // octaves, so the compact per-axis slots have gaps.
+  for (const Vec3i dims : {Vec3i{8, 8, 8}, Vec3i{37, 23, 19}, XrageParams::small_problem().dims})
+    for (const int parts : {1, 4, 8})
+      for (const Index timestep : {0, 2})
+        for (const std::uint64_t seed : {99ull, 7919ull}) {
+          XrageParams p;
+          p.dims = dims;
+          p.timestep = timestep;
+          p.seed = seed;
+          for (int share = 0; share < parts; ++share) {
+            const auto [lo, hi] = grid_block_range(dims, share, parts);
+            const auto grid = generate_xrage_block(p, lo, hi);
+            const auto ref = ref_block(p, lo, hi);
+            for (std::size_t f = 0; f < 3; ++f) {
+              const std::span<const Real> got = grid->point_fields().get(kFields[f]).values();
+              ASSERT_EQ(got.size(), ref[f].size());
+              EXPECT_EQ(std::memcmp(got.data(), ref[f].data(), got.size() * sizeof(Real)), 0)
+                  << kFields[f] << " dims " << dims.x << "x" << dims.y << "x" << dims.z
+                  << " parts " << parts << " share " << share << " t " << timestep
+                  << " seed " << seed;
+            }
+          }
+        }
 }
 
 TEST(XrageGenerator, RankSlabsShareBoundaryPlanes) {
