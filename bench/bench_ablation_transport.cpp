@@ -102,7 +102,8 @@ BENCHMARK(BM_SocketRoundTrip)->Arg(10000)->Arg(100000)->Unit(benchmark::kMillise
 void BM_TimestepHandoffZeroCopy(benchmark::State& state) {
   const Index n = state.range(0);
   std::size_t iters = 0;
-  reset_data_plane_counters();
+  RunCounterSink sink;
+  const RunSinkScope sink_scope(&sink);
   for (auto _ : state) {
     state.PauseTiming();
     // The zero-copy hand-off shares ownership with the receiver, so
@@ -116,9 +117,8 @@ void BM_TimestepHandoffZeroCopy(benchmark::State& state) {
     benchmark::DoNotOptimize(received->num_points());
     ++iters;
   }
-  const DataPlaneCounters c = data_plane_counters();
-  state.counters["copied_per_xfer"] = double(c.bytes_copied) / double(iters);
-  state.counters["borrowed_per_xfer"] = double(c.bytes_borrowed) / double(iters);
+  state.counters["copied_per_xfer"] = double(sink.bytes_copied.load()) / double(iters);
+  state.counters["borrowed_per_xfer"] = double(sink.bytes_borrowed.load()) / double(iters);
   state.SetBytesProcessed(
       static_cast<int64_t>(state.iterations() * serialize_dataset(dataset(n)).size()));
 }

@@ -1,59 +1,43 @@
 #include "cluster/counters.hpp"
 
-#include <algorithm>
+#include <type_traits>
 
 #include "common/string_util.hpp"
 
 namespace eth::cluster {
 
 void PerfCounters::merge(const PerfCounters& other) {
-  elements_processed += other.elements_processed;
-  primitives_emitted += other.primitives_emitted;
-  rays_cast += other.rays_cast;
-  ray_steps += other.ray_steps;
-  bvh_nodes_visited += other.bvh_nodes_visited;
-  flop_estimate += other.flop_estimate;
-  bytes_read += other.bytes_read;
-  bytes_written += other.bytes_written;
-  bytes_communicated += other.bytes_communicated;
-  bytes_copied += other.bytes_copied;
-  bytes_borrowed += other.bytes_borrowed;
-  bytes_on_wire += other.bytes_on_wire;
-  compress_cpu_seconds += other.compress_cpu_seconds;
-  cache_hits += other.cache_hits;
-  cache_misses += other.cache_misses;
-  prefetch_hits += other.prefetch_hits;
-  cache_bytes = std::max(cache_bytes, other.cache_bytes);
-  max_parallel_items = std::max(max_parallel_items, other.max_parallel_items);
-  // PhaseTimer totals merge by adding each known phase; iterate the
-  // small fixed vocabulary.
-  for (const char* phase : {"generate", "read", "sample", "extract", "build",
-                            "render", "composite", "transfer", "write"}) {
-    const double s = other.phases.get(phase);
-    if (s > 0) phases.add(phase, s);
-  }
+  for_each_metric(
+      [](const MetricInfo& m, auto& mine, const auto& theirs) {
+        mine = merge_metric(m.merge, mine, theirs);
+      },
+      *this, other);
+  phases.merge(other.phases);
+}
+
+void PerfCounters::fold(const RunCounterSink& sink) {
+  for_each_run_metric(
+      [](const MetricInfo& m, auto& mine, const auto& cell) {
+        mine = merge_metric(m.merge, mine, cell.load());
+      },
+      *this, sink);
 }
 
 std::string PerfCounters::summary() const {
   std::string out;
-  out += strprintf("elements_processed: %lld\n", static_cast<long long>(elements_processed));
-  out += strprintf("primitives_emitted: %lld\n", static_cast<long long>(primitives_emitted));
-  out += strprintf("rays_cast: %lld\n", static_cast<long long>(rays_cast));
-  out += strprintf("ray_steps: %lld\n", static_cast<long long>(ray_steps));
-  out += strprintf("bvh_nodes_visited: %lld\n", static_cast<long long>(bvh_nodes_visited));
-  out += strprintf("flop_estimate: %.3g\n", flop_estimate);
-  out += strprintf("bytes_read: %s\n", format_bytes(bytes_read).c_str());
-  out += strprintf("bytes_written: %s\n", format_bytes(bytes_written).c_str());
-  out += strprintf("bytes_communicated: %s\n", format_bytes(bytes_communicated).c_str());
-  out += strprintf("bytes_copied: %s\n", format_bytes(bytes_copied).c_str());
-  out += strprintf("bytes_borrowed: %s\n", format_bytes(bytes_borrowed).c_str());
-  out += strprintf("bytes_on_wire: %s\n", format_bytes(bytes_on_wire).c_str());
-  out += strprintf("compress_cpu_seconds: %.4f\n", compress_cpu_seconds);
-  out += strprintf("cache_hits: %lld\n", static_cast<long long>(cache_hits));
-  out += strprintf("cache_misses: %lld\n", static_cast<long long>(cache_misses));
-  out += strprintf("prefetch_hits: %lld\n", static_cast<long long>(prefetch_hits));
-  out += strprintf("cache_bytes: %s\n", format_bytes(cache_bytes).c_str());
-  out += strprintf("max_parallel_items: %lld\n", static_cast<long long>(max_parallel_items));
+  for_each_metric(
+      [&](const MetricInfo& m, const auto& v) {
+        using T = std::decay_t<decltype(v)>;
+        if constexpr (std::is_same_v<T, Bytes>)
+          out += strprintf("%s: %s\n", m.name, format_bytes(v).c_str());
+        else if constexpr (std::is_same_v<T, double>)
+          out += strprintf(m.determinism == Determinism::measured ? "%s: %.4f\n"
+                                                                   : "%s: %.3g\n",
+                           m.name, v);
+        else
+          out += strprintf("%s: %lld\n", m.name, static_cast<long long>(v));
+      },
+      *this);
   out += strprintf("cpu_seconds_total: %.4f\n", phases.total());
   return out;
 }

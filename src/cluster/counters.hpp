@@ -6,67 +6,34 @@
 // computations ... from an additional setup phase"). Our kernels report
 // equivalent software counters: arithmetic-operation estimates, elements
 // touched, bytes moved, and per-phase CPU seconds, aggregated per rank
-// and mergeable across ranks.
+// and mergeable across ranks. Every metric is declared once in the
+// registry (common/run_counters.hpp, DESIGN.md §17).
 
 #include <string>
 #include <vector>
 
+#include "common/run_counters.hpp"
 #include "common/timer.hpp"
 #include "common/types.hpp"
 
 namespace eth::cluster {
 
 struct PerfCounters {
-  // Work counters (kernel-reported estimates).
-  Index elements_processed = 0; ///< particles / cells / pixels iterated
-  Index primitives_emitted = 0; ///< triangles or impostors generated
-  Index rays_cast = 0;
-  Index ray_steps = 0;          ///< raymarch iterations
-  Index bvh_nodes_visited = 0;
-  double flop_estimate = 0;     ///< floating-point operation estimate
-
-  // Data-movement counters.
-  Bytes bytes_read = 0;
-  Bytes bytes_written = 0;
-  Bytes bytes_communicated = 0;
-
-  // Data-plane ownership counters (common/buffer.hpp): payload bytes
-  // the sim->viz hand-off memcpy'd in userspace versus passed across a
-  // layer boundary by reference. The zero-copy refactor is observable
-  // as bytes_copied shrinking while bytes_borrowed grows.
-  Bytes bytes_copied = 0;
-  Bytes bytes_borrowed = 0;
-
-  // Wire-codec counters (insitu/transport.hpp, DESIGN.md §15): framed
-  // bytes actually put on the wire (post-codec, headers included) and
-  // thread CPU spent inside codec (de)compression. bytes_on_wire is a
-  // pure function of the payload bytes and the codec, so it is
-  // deterministic and safe to bit-compare; compress_cpu_seconds is
-  // measured time and must never enter a bit-compared table.
-  Bytes bytes_on_wire = 0;
-  double compress_cpu_seconds = 0;
-
-  // Memoization counters (core/artifact_cache.hpp): demand lookups
-  // that hit / ran the producer, hits the read-ahead prefetcher had
-  // warmed, and the cache's resident footprint when the run ended.
-  // Observational — the cached values themselves are bit-identical to
-  // recomputation, so these are the ONLY counters allowed to differ
-  // between cache-on and cache-off runs.
-  Index cache_hits = 0;
-  Index cache_misses = 0;
-  Index prefetch_hits = 0;
-  Bytes cache_bytes = 0; ///< resident snapshot (gauge, merged by max)
+  // One field per ETH_PERF_METRICS entry (common/run_counters.hpp),
+  // zero-initialized, in declaration order.
+#define ETH_PERF_FIELD(name, type, ...) type name = 0;
+  ETH_PERF_METRICS(ETH_PERF_FIELD)
+#undef ETH_PERF_FIELD
 
   // Time, by phase (CPU seconds from ThreadCpuTimer).
   PhaseTimer phases;
 
-  /// A rough "available parallelism" signal for the power model: the
-  /// largest data-parallel loop extent this rank executed. The machine
-  /// model turns this into node utilization (Finding 4: small sampled
-  /// problems cannot keep all parallel resources busy).
-  Index max_parallel_items = 0;
-
+  /// Combine every metric by its merge rule, and the phase times.
   void merge(const PerfCounters& other);
+
+  /// Fold a run's sink into these counters: each run-attributed metric
+  /// combines by its merge rule.
+  void fold(const RunCounterSink& sink);
 
   /// Multi-line human-readable dump ("counter: value" per line).
   std::string summary() const;

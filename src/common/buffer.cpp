@@ -1,105 +1,6 @@
 #include "common/buffer.hpp"
 
-#include <atomic>
-
-#include "common/run_counters.hpp"
-
 namespace eth {
-
-namespace {
-
-// Relaxed is sufficient: the counters are statistics, read via
-// snapshot between phases, never used for synchronization.
-std::atomic<Bytes> g_bytes_copied{0};
-std::atomic<Bytes> g_bytes_borrowed{0};
-
-// Active capture sink for this thread (common/buffer.hpp
-// DataPlaneCapture): when set, notes accumulate there instead of the
-// process-wide counters. Thread-local, so no synchronization needed.
-thread_local DataPlaneCounters* t_capture_sink = nullptr;
-
-} // namespace
-
-void note_bytes_copied(Bytes n) {
-  if (!n) return;
-  if (t_capture_sink != nullptr) {
-    t_capture_sink->bytes_copied += n;
-    return;
-  }
-  g_bytes_copied.fetch_add(n, std::memory_order_relaxed);
-  // Tee into the owning run's sink (common/run_counters.hpp) so
-  // concurrent runs each see exactly their own traffic. A capture
-  // (above) still shadows both: captured costs are recorded with the
-  // artifact and REPLAYED into the consuming run's counters instead.
-  if (RunCounterSink* sink = current_run_sink())
-    sink->bytes_copied.fetch_add(n, std::memory_order_relaxed);
-}
-
-void note_bytes_borrowed(Bytes n) {
-  if (!n) return;
-  if (t_capture_sink != nullptr) {
-    t_capture_sink->bytes_borrowed += n;
-    return;
-  }
-  g_bytes_borrowed.fetch_add(n, std::memory_order_relaxed);
-  if (RunCounterSink* sink = current_run_sink())
-    sink->bytes_borrowed.fetch_add(n, std::memory_order_relaxed);
-}
-
-namespace {
-
-std::atomic<Bytes> g_bytes_on_wire{0};
-std::atomic<double> g_compress_cpu_seconds{0.0};
-
-// atomic<double>::fetch_add is a C++20 library feature not every
-// toolchain ships; a relaxed CAS loop is equivalent for statistics.
-void atomic_add(std::atomic<double>& a, double v) {
-  double cur = a.load(std::memory_order_relaxed);
-  while (!a.compare_exchange_weak(cur, cur + v, std::memory_order_relaxed)) {
-  }
-}
-
-} // namespace
-
-void note_bytes_on_wire(Bytes n) {
-  if (!n) return;
-  g_bytes_on_wire.fetch_add(n, std::memory_order_relaxed);
-  if (RunCounterSink* sink = current_run_sink())
-    sink->bytes_on_wire.fetch_add(n, std::memory_order_relaxed);
-}
-
-void note_compress_cpu_seconds(double s) {
-  if (s <= 0) return;
-  atomic_add(g_compress_cpu_seconds, s);
-  if (RunCounterSink* sink = current_run_sink())
-    sink->add_compress_cpu_seconds(s);
-}
-
-WireCounters wire_counters() {
-  return {g_bytes_on_wire.load(std::memory_order_relaxed),
-          g_compress_cpu_seconds.load(std::memory_order_relaxed)};
-}
-
-void reset_wire_counters() {
-  g_bytes_on_wire.store(0, std::memory_order_relaxed);
-  g_compress_cpu_seconds.store(0.0, std::memory_order_relaxed);
-}
-
-DataPlaneCapture::DataPlaneCapture() : prev_(t_capture_sink) {
-  t_capture_sink = &local_;
-}
-
-DataPlaneCapture::~DataPlaneCapture() { t_capture_sink = prev_; }
-
-DataPlaneCounters data_plane_counters() {
-  return {g_bytes_copied.load(std::memory_order_relaxed),
-          g_bytes_borrowed.load(std::memory_order_relaxed)};
-}
-
-void reset_data_plane_counters() {
-  g_bytes_copied.store(0, std::memory_order_relaxed);
-  g_bytes_borrowed.store(0, std::memory_order_relaxed);
-}
 
 Buffer Buffer::allocate(std::size_t n) {
   Buffer b;
@@ -150,7 +51,7 @@ void WireMessage::copy_to(std::uint8_t* out) const {
     std::memcpy(out, seg.bytes.data(), seg.bytes.size());
     out += seg.bytes.size();
   }
-  note_bytes_copied(total_);
+  emit_metric(&RunCounterSink::bytes_copied, total_);
 }
 
 std::vector<std::uint8_t> WireMessage::flatten() const {

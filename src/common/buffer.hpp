@@ -23,10 +23,11 @@
 //                  reads go through a borrowed view aliasing a receive
 //                  buffer (or a peer's live arrays); the first mutation
 //                  materializes a private owned copy (copy-on-write).
-//  * data-plane counters - process-wide bytes_copied / bytes_borrowed
-//                  tallies, so the copy elimination is observable per
-//                  run (cluster::PerfCounters carries them into the
-//                  robustness table).
+//
+// Every copy and every by-reference hand-off is counted through the
+// metric registry (common/run_counters.hpp): bytes_copied /
+// bytes_borrowed land in the current run's sink, so the copy
+// elimination is observable per run.
 
 #include <cstdint>
 #include <cstring>
@@ -35,6 +36,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/run_counters.hpp"
 #include "common/types.hpp"
 
 namespace eth {
@@ -42,60 +44,6 @@ namespace eth {
 /// Type-erased shared ownership of whatever backs a borrowed span: a
 /// Buffer slab, a shared dataset, a queued message's storage.
 using Keepalive = std::shared_ptr<const void>;
-
-// ------------------------------------------------- data-plane counters
-// Process-wide (atomic, relaxed) tallies of payload bytes the data
-// plane memcpy'd versus handed across a layer boundary by reference.
-// Deterministic for a fixed configuration: every copy is a pure
-// consequence of the code path taken, never of thread timing.
-
-struct DataPlaneCounters {
-  Bytes bytes_copied = 0;   ///< payload bytes memcpy'd in userspace
-  Bytes bytes_borrowed = 0; ///< payload bytes passed by reference
-};
-
-void note_bytes_copied(Bytes n);
-void note_bytes_borrowed(Bytes n);
-DataPlaneCounters data_plane_counters();
-void reset_data_plane_counters();
-
-// -------------------------------------------------- wire-codec counters
-// Process-wide tallies of the transport codec (DESIGN.md §15): framed
-// bytes actually put on the wire (send side, headers included) and the
-// CPU spent inside compress/decompress. bytes_on_wire is deterministic
-// for a fixed configuration; compress_cpu_seconds is a measured time
-// and therefore never flows into a bit-compared table.
-
-struct WireCounters {
-  Bytes bytes_on_wire = 0;          ///< framed bytes sent (post-codec)
-  double compress_cpu_seconds = 0;  ///< thread CPU in codec (de)compress
-};
-
-void note_bytes_on_wire(Bytes n);
-void note_compress_cpu_seconds(double s);
-WireCounters wire_counters();
-void reset_wire_counters();
-
-/// RAII redirect of THIS THREAD's data-plane notes into a private
-/// tally instead of the process-wide counters. The memoization layer
-/// wraps cached producers (e.g. proxy disk loads) in a capture so the
-/// one-time copy cost is recorded in the artifact and REPLAYED into
-/// every consumer's counters — on a hit as much as on the miss — which
-/// keeps the copied/borrowed totals identical with the cache on or
-/// off. Captures nest (the inner one shadows the outer for its scope).
-class DataPlaneCapture {
-public:
-  DataPlaneCapture();
-  ~DataPlaneCapture();
-  DataPlaneCapture(const DataPlaneCapture&) = delete;
-  DataPlaneCapture& operator=(const DataPlaneCapture&) = delete;
-
-  const DataPlaneCounters& taken() const { return local_; }
-
-private:
-  DataPlaneCounters local_;
-  DataPlaneCounters* prev_;
-};
 
 // --------------------------------------------------------------- Buffer
 
@@ -356,7 +304,7 @@ public:
 private:
   void materialize() {
     if (!borrowed()) return;
-    note_bytes_copied(borrowed_size_ * sizeof(T));
+    emit_metric(&RunCounterSink::bytes_copied, borrowed_size_ * sizeof(T));
     owned_.assign(borrowed_data_, borrowed_data_ + borrowed_size_);
     release_borrow();
   }

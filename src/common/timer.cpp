@@ -29,6 +29,11 @@ double PhaseTimer::get(const char* name) const {
   return 0.0;
 }
 
+void PhaseTimer::merge(const PhaseTimer& other) {
+  for (int i = 0; i < other.count_; ++i)
+    if (other.entries_[i].seconds > 0) add(other.entries_[i].name, other.entries_[i].seconds);
+}
+
 void PhaseTimer::clear() { count_ = 0; }
 
 } // namespace eth

@@ -65,6 +65,9 @@ public:
   /// Seconds recorded for `name` (0 if never recorded).
   double get(const char* name) const;
 
+  /// Add every phase `other` recorded time for, in its entry order.
+  void merge(const PhaseTimer& other);
+
   void clear();
 
 private:

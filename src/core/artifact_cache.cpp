@@ -4,22 +4,22 @@
 
 namespace eth {
 
+Bytes parse_cache_budget(const char* value) {
+  if (value != nullptr) {
+    char* end = nullptr;
+    const unsigned long long parsed = std::strtoull(value, &end, 10);
+    if (end != value && *end == '\0') return Bytes(parsed);
+  }
+  return Bytes(512) << 20;
+}
+
 ArtifactCache& global_artifact_cache() {
   // Leaked singleton: worker threads (read-ahead prefetch tasks) may
   // touch the cache during static destruction if it were destroyed.
   static ArtifactCache* cache = [] {
-    Bytes budget = Bytes(512) << 20; // 512 MiB default
-    bool on = true;
-    if (const char* env = std::getenv("ETH_CACHE_BYTES")) {
-      char* end = nullptr;
-      const unsigned long long parsed = std::strtoull(env, &end, 10);
-      if (end != env) {
-        budget = Bytes(parsed);
-        on = parsed != 0;
-      }
-    }
+    const Bytes budget = parse_cache_budget(std::getenv("ETH_CACHE_BYTES"));
     auto* c = new ArtifactCache(budget);
-    c->set_enabled(on);
+    c->set_enabled(budget != 0);
     return c;
   }();
   return *cache;

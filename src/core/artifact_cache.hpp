@@ -175,14 +175,12 @@ public:
         if (it->second.ready) {
           touch(it->second);
           ++stats_.hits;
-          if (RunCounterSink* sink = current_run_sink())
-            sink->cache_hits.fetch_add(1, std::memory_order_relaxed);
+          emit_metric(&RunCounterSink::cache_hits, 1);
           trace::instant("cache.hit");
           if (it->second.prefetched && !it->second.prefetch_claimed) {
             it->second.prefetch_claimed = true;
             ++stats_.prefetch_hits;
-            if (RunCounterSink* sink = current_run_sink())
-              sink->prefetch_hits.fetch_add(1, std::memory_order_relaxed);
+            emit_metric(&RunCounterSink::prefetch_hits, 1);
           }
           return {it->second.artifact.value, it->second.artifact.recorded,
                   it->second.artifact.content_fp, true};
@@ -204,8 +202,7 @@ public:
     {
       std::lock_guard<std::mutex> lock(mutex_);
       ++stats_.misses;
-      if (RunCounterSink* sink = current_run_sink())
-        sink->cache_misses.fetch_add(1, std::memory_order_relaxed);
+      emit_metric(&RunCounterSink::cache_misses, 1);
       trace::instant("cache.miss");
       publish(key, std::move(made), /*prefetched=*/false);
       cv_.notify_all();
@@ -328,8 +325,14 @@ private:
   std::unordered_map<std::string, std::uint64_t> dumps_;
 };
 
-/// The process-wide cache the harness and sweeps share. Budget comes
-/// from ETH_CACHE_BYTES (default 512 MiB); ETH_CACHE_BYTES=0 disables
+/// The ETH_CACHE_BYTES budget for `value`: a plain decimal byte count
+/// ("0" disables memoization). Unset, empty or malformed values fall
+/// back to the 512 MiB default — "512MiB" is rejected whole, never read
+/// as a 512-byte budget.
+Bytes parse_cache_budget(const char* value);
+
+/// The process-wide cache the harness and sweeps share, budgeted by
+/// parse_cache_budget(ETH_CACHE_BYTES); a zero budget disables
 /// memoization entirely (the escape hatch — every producer runs every
 /// time, exactly the pre-cache behavior).
 ArtifactCache& global_artifact_cache();

@@ -6,6 +6,7 @@
 #include <numeric>
 #include <cstdlib>
 #include <filesystem>
+#include <type_traits>
 
 #include "common/buffer.hpp"
 #include "common/error.hpp"
@@ -127,15 +128,15 @@ ShareRequest share_request(const ExperimentSpec& spec, std::uint64_t app_fp,
   return {{file_fp, spec.use_disk_proxy ? "proxy.load" : "produce_share"},
           [&spec, case_name, file_fp, share, parts, t, r]() -> CacheArtifact {
             ThreadCpuTimer timer;
-            DataPlaneCapture capture;
+            RunCounterSink taken;
+            const RunSinkScope capture(&taken);
             std::shared_ptr<const DataSet> ds =
                 spec.use_disk_proxy
                     ? sim::SimulationProxy(spec.proxy_dir, case_name).load(t, r)
                     : Harness::produce_share(spec, share, parts, t);
             cluster::PerfCounters recorded;
             recorded.phases.add("generate", timer.elapsed());
-            recorded.bytes_copied = capture.taken().bytes_copied;
-            recorded.bytes_borrowed = capture.taken().bytes_borrowed;
+            recorded.fold(taken);
             return CacheArtifact{ds, static_cast<std::size_t>(ds->byte_size()),
                                  std::move(recorded), file_fp};
           }};
@@ -326,8 +327,7 @@ RunResult Harness::run(const ExperimentSpec& spec, const RunContext& ctx) const 
       std::uint64_t viz_fp = 0;  ///< provenance of what the viz consumed
       double generate_cpu = 0;
       Index generate_items = 0;
-      Bytes replay_copied = 0;   ///< cache-replayed data-plane bytes
-      Bytes replay_borrowed = 0;
+      cluster::PerfCounters replayed; ///< recorded first-load counters
       double transfer_cpu = 0;
       Bytes transferred = 0;
       insitu::RobustnessReport robustness;
@@ -353,8 +353,7 @@ RunResult Harness::run(const ExperimentSpec& spec, const RunContext& ctx) const 
       slot.sim_data = lookup.as<DataSet>();
       slot.data_fp = lookup.content_fp;
       slot.generate_cpu += lookup.recorded.phases.get("generate");
-      slot.replay_copied += lookup.recorded.bytes_copied;
-      slot.replay_borrowed += lookup.recorded.bytes_borrowed;
+      slot.replayed.merge(lookup.recorded);
     };
 
     // ---- stage "produce": the simulation proxy produces this modelled
@@ -464,8 +463,7 @@ RunResult Harness::run(const ExperimentSpec& spec, const RunContext& ctx) const 
       gen_phase.cpu_seconds += slot.generate_cpu;
       gen_phase.parallel_items =
           std::max(gen_phase.parallel_items, slot.generate_items);
-      report.counters.bytes_copied += slot.replay_copied;
-      report.counters.bytes_borrowed += slot.replay_borrowed;
+      report.counters.merge(slot.replayed);
       if (!tight) {
         // CPU cost lands in the "transfer" phase (informational) and
         // the byte count feeds the interconnect model.
@@ -677,18 +675,13 @@ RunResult Harness::run(const ExperimentSpec& spec, const RunContext& ctx) const 
   prefetch_group.wait();
 
   // ---- aggregate measurements and map onto the modelled machine.
-  const Bytes run_bytes_copied =
-      run_sink.bytes_copied.load(std::memory_order_relaxed);
-  const Bytes run_bytes_borrowed =
-      run_sink.bytes_borrowed.load(std::memory_order_relaxed);
-  const Bytes run_bytes_on_wire =
-      run_sink.bytes_on_wire.load(std::memory_order_relaxed);
+  // The run's own counts (data plane, wire, cache lookups) plus the
+  // shared cache's resident footprint when the run ended (observational
+  // — cache-class metrics are the ONLY ones allowed to differ between
+  // cache-on and cache-off runs), folded by the registry's merge rules.
+  run_sink.cache_bytes.add(cache.stats().bytes_resident);
   RunResult result;
-  result.counters.bytes_copied += run_bytes_copied;
-  result.counters.bytes_borrowed += run_bytes_borrowed;
-  result.counters.bytes_on_wire += run_bytes_on_wire;
-  result.counters.compress_cpu_seconds +=
-      run_sink.compress_cpu_seconds.load(std::memory_order_relaxed);
+  result.counters.fold(run_sink);
   result.robustness = robustness_total;
   result.timesteps_dropped = timesteps_dropped_total;
   for (const core::RankReport& report : reports) {
@@ -700,19 +693,6 @@ RunResult Harness::run(const ExperimentSpec& spec, const RunContext& ctx) const 
     }
   }
   result.rank_cpu_total = rank_totals;
-  // Memoization counters: this run's own lookups (teed into the run
-  // sink by the cache) plus the shared cache's resident footprint when
-  // the run ended (observational — the ONLY counters allowed to differ
-  // between cache-on and cache-off runs).
-  const CacheStats cache_stats_after = cache.stats();
-  result.counters.cache_hits +=
-      run_sink.cache_hits.load(std::memory_order_relaxed);
-  result.counters.cache_misses +=
-      run_sink.cache_misses.load(std::memory_order_relaxed);
-  result.counters.prefetch_hits +=
-      run_sink.prefetch_hits.load(std::memory_order_relaxed);
-  result.counters.cache_bytes =
-      std::max(result.counters.cache_bytes, cache_stats_after.bytes_resident);
   // Scale per-rank transfer volume to the full modelled node count.
   result.bytes_transferred =
       transferred_total / static_cast<Bytes>(std::max(1, M)) *
@@ -736,16 +716,18 @@ RunResult Harness::run(const ExperimentSpec& spec, const RunContext& ctx) const 
   const cluster::RunPowerReport power = timeline.report();
   result.busy_spans = timeline.spans();
 
-  // Observability (DESIGN.md §11): sample this run's data-plane and
-  // cache counters as trace counters, and project the modelled
-  // BusySpans onto "model node" tracks (modelled seconds scaled to
-  // trace nanoseconds) so the simulated timeline sits next to the
-  // measured wall spans in one Perfetto view.
+  // Observability (DESIGN.md §11): sample this run's byte-volume
+  // metrics (data plane, wire, cache footprint) as trace counters, and
+  // project the modelled BusySpans onto "model node" tracks (modelled
+  // seconds scaled to trace nanoseconds) so the simulated timeline sits
+  // next to the measured wall spans in one Perfetto view.
   if (trace::enabled()) {
-    trace::counter("bytes_copied", double(run_bytes_copied));
-    trace::counter("bytes_borrowed", double(run_bytes_borrowed));
-    trace::counter("bytes_on_wire", double(run_bytes_on_wire));
-    trace::counter("cache_bytes", double(cache_stats_after.bytes_resident));
+    for_each_run_metric(
+        [](const MetricInfo& m, const auto& cell) {
+          if constexpr (std::is_same_v<decltype(cell.load()), Bytes>)
+            trace::counter(m.name, double(cell.load()));
+        },
+        run_sink);
     for (const cluster::BusySpan& span : result.busy_spans)
       trace::emit_span_at(span.label,
                           trace::kModelTrackBase + ctx.trace_track_base +
@@ -764,27 +746,46 @@ RunResult Harness::run(const ExperimentSpec& spec, const RunContext& ctx) const 
   return result;
 }
 
+namespace {
+
+/// The one robustness column list: f(name, value) per column.
+template <class F>
+void for_each_robustness_column(const RunResult& result, F&& f) {
+  const insitu::RobustnessReport& r = result.robustness;
+  f("frames_sent", r.frames_sent);
+  f("frames_delivered", r.frames_delivered);
+  f("frames_retried", r.frames_retried);
+  f("frames_dropped", r.frames_dropped);
+  f("frames_corrupt", r.frames_corrupt);
+  f("frames_timed_out", r.frames_timed_out);
+  f("timesteps_dropped", result.timesteps_dropped);
+  for_each_run_metric(
+      [&](const MetricInfo& m, const auto& value) {
+        if (m.determinism != Determinism::measured) f(m.name, Index(value));
+      },
+      result.counters);
+}
+
+} // namespace
+
+std::vector<std::string> robustness_columns() {
+  std::vector<std::string> names;
+  for_each_robustness_column(RunResult{}, [&](const char* name, Index) {
+    names.emplace_back(name);
+  });
+  return names;
+}
+
+void add_robustness_cells(ResultTable& table, const RunResult& result) {
+  for_each_robustness_column(result, [&](const char*, Index value) {
+    table.add_cell(value);
+  });
+}
+
 ResultTable robustness_table(const RunResult& result) {
-  ResultTable table({"frames_sent", "frames_delivered", "frames_retried",
-                     "frames_dropped", "frames_corrupt", "frames_timed_out",
-                     "timesteps_dropped", "bytes_copied", "bytes_borrowed",
-                     "bytes_on_wire", "cache_hits", "cache_misses",
-                     "cache_bytes", "prefetch_hits"});
+  ResultTable table(robustness_columns());
   table.begin_row();
-  table.add_cell(result.robustness.frames_sent);
-  table.add_cell(result.robustness.frames_delivered);
-  table.add_cell(result.robustness.frames_retried);
-  table.add_cell(result.robustness.frames_dropped);
-  table.add_cell(result.robustness.frames_corrupt);
-  table.add_cell(result.robustness.frames_timed_out);
-  table.add_cell(result.timesteps_dropped);
-  table.add_cell(Index(result.counters.bytes_copied));
-  table.add_cell(Index(result.counters.bytes_borrowed));
-  table.add_cell(Index(result.counters.bytes_on_wire));
-  table.add_cell(result.counters.cache_hits);
-  table.add_cell(result.counters.cache_misses);
-  table.add_cell(Index(result.counters.cache_bytes));
-  table.add_cell(result.counters.prefetch_hits);
+  add_robustness_cells(table, result);
   return table;
 }
 

@@ -75,10 +75,18 @@ private:
   core::ModelOptions options_;
 };
 
-/// Tabulate a run's transport robustness counters (frames sent /
-/// delivered / retried / dropped / corrupt / timed-out plus dropped
-/// timesteps) as a one-row ResultTable — the per-run robustness report
-/// printed next to the paper's performance tables.
+/// The robustness table's columns, shared by every robustness table:
+/// the transport outcomes (frames sent / delivered / retried / dropped /
+/// corrupt / timed-out, dropped timesteps), then every run-attributed
+/// registry metric that is not measured (data plane, wire, cache), in
+/// registry order (common/run_counters.hpp).
+std::vector<std::string> robustness_columns();
+
+/// Append one run's cells in robustness_columns() order.
+void add_robustness_cells(ResultTable& table, const RunResult& result);
+
+/// A run's robustness counters as a one-row ResultTable — the per-run
+/// robustness report printed next to the paper's performance tables.
 ResultTable robustness_table(const RunResult& result);
 
 } // namespace eth

@@ -140,9 +140,7 @@ std::vector<SweepOutcome> run_sweep(
 
 ResultTable metrics_table(const std::string& label_column,
                           const std::vector<SweepOutcome>& outcomes) {
-  ResultTable table({label_column, "time_s", "power_kW", "dyn_power_kW",
-                     "energy_MJ", "cache_hits", "cache_misses", "cache_bytes",
-                     "prefetch_hits", "bytes_on_wire"});
+  ResultTable table({label_column, "time_s", "power_kW", "dyn_power_kW", "energy_MJ"});
   for (const SweepOutcome& o : outcomes) {
     table.begin_row();
     table.add_cell(o.label);
@@ -150,56 +148,21 @@ ResultTable metrics_table(const std::string& label_column,
     table.add_cell(o.result.average_power / 1e3, "%.2f");
     table.add_cell(o.result.average_dynamic_power / 1e3, "%.2f");
     table.add_cell(o.result.energy / 1e6, "%.3f");
-    table.add_cell(o.result.counters.cache_hits);
-    table.add_cell(o.result.counters.cache_misses);
-    table.add_cell(Index(o.result.counters.cache_bytes));
-    table.add_cell(o.result.counters.prefetch_hits);
-    table.add_cell(Index(o.result.counters.bytes_on_wire));
   }
   return table;
 }
 
 ResultTable robustness_table(const std::string& label_column,
                              const std::vector<SweepOutcome>& outcomes) {
-  ResultTable table({label_column, "frames_sent", "frames_delivered",
-                     "frames_retried", "frames_dropped", "frames_corrupt",
-                     "frames_timed_out", "timesteps_dropped", "bytes_copied",
-                     "bytes_borrowed", "bytes_on_wire", "cache_hits",
-                     "cache_misses", "cache_bytes", "prefetch_hits"});
+  std::vector<std::string> columns{label_column};
+  for (std::string& name : robustness_columns()) columns.push_back(std::move(name));
+  ResultTable table(std::move(columns));
   for (const SweepOutcome& o : outcomes) {
     table.begin_row();
     table.add_cell(o.label);
-    table.add_cell(o.result.robustness.frames_sent);
-    table.add_cell(o.result.robustness.frames_delivered);
-    table.add_cell(o.result.robustness.frames_retried);
-    table.add_cell(o.result.robustness.frames_dropped);
-    table.add_cell(o.result.robustness.frames_corrupt);
-    table.add_cell(o.result.robustness.frames_timed_out);
-    table.add_cell(o.result.timesteps_dropped);
-    table.add_cell(Index(o.result.counters.bytes_copied));
-    table.add_cell(Index(o.result.counters.bytes_borrowed));
-    table.add_cell(Index(o.result.counters.bytes_on_wire));
-    table.add_cell(o.result.counters.cache_hits);
-    table.add_cell(o.result.counters.cache_misses);
-    table.add_cell(Index(o.result.counters.cache_bytes));
-    table.add_cell(o.result.counters.prefetch_hits);
+    add_robustness_cells(table, o.result);
   }
   return table;
-}
-
-bool should_print_robustness(const std::vector<SweepPoint>& points,
-                             const std::vector<SweepOutcome>& outcomes,
-                             bool trace_active) {
-  // A faulted run that silently dropped frames must not look like a
-  // clean one; and a traced run must pair its trace with the counters.
-  if (trace_active) return true;
-  for (std::size_t i = 0; i < points.size() && i < outcomes.size(); ++i) {
-    const auto& r = outcomes[i].result.robustness;
-    if (points[i].spec.fault.any() || r.frames_retried > 0 ||
-        r.frames_dropped > 0 || r.frames_corrupt > 0 || r.frames_timed_out > 0)
-      return true;
-  }
-  return false;
 }
 
 ResultTable trace_summary_table() {

@@ -70,26 +70,16 @@ std::vector<SweepPoint> sweep_over(const ExperimentSpec& base,
   return points;
 }
 
-/// Standard metrics table over sweep outcomes: label, time, power,
-/// dynamic power, energy.
+/// Standard metrics table over sweep outcomes: label plus the modelled
+/// time, power, dynamic power and energy. Counters live in
+/// robustness_table, so no column is printed twice.
 ResultTable metrics_table(const std::string& label_column,
                           const std::vector<SweepOutcome>& outcomes);
 
-/// Transport robustness counters over sweep outcomes, one row per
-/// configuration (the sweep-level companion of the single-run
-/// robustness_table in core/harness.hpp).
+/// Robustness counters over sweep outcomes, one row per configuration:
+/// the label column, then robustness_columns() (core/harness.hpp).
 ResultTable robustness_table(const std::string& label_column,
                              const std::vector<SweepOutcome>& outcomes);
-
-/// Decide whether a sweep run prints the robustness table: whenever a
-/// point configured faults, any frame needed more than one attempt (or
-/// was dropped/corrupt/timed out), or `trace_active` — when a trace is
-/// being recorded the robustness counters must land alongside it even
-/// for a clean run (zeroed fault columns), so the two artifacts always
-/// pair up. Extracted from eth_explore so the decision is unit-testable.
-bool should_print_robustness(const std::vector<SweepPoint>& points,
-                             const std::vector<SweepOutcome>& outcomes,
-                             bool trace_active);
 
 /// Compact per-phase summary of the current trace snapshot (DESIGN.md
 /// §11): one row per span/counter name with event count and total span

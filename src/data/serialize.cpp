@@ -452,8 +452,8 @@ std::unique_ptr<DataSet> deserialize_dataset(const WireMessage& msg) {
 
 std::uint64_t dataset_fingerprint(const DataSet& ds) {
   // Identity query, not data movement: keep the message assembly out of
-  // the data-plane tallies so fingerprinting never perturbs them.
-  DataPlaneCapture mute;
+  // the run's data-plane tallies so fingerprinting never perturbs them.
+  const RunSinkScope mute(nullptr);
   return fingerprint_message(wire_message_for_dataset(ds));
 }
 

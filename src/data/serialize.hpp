@@ -135,13 +135,13 @@ ArrayChunk<T> WireReader::get_array(std::size_t count) {
       chunk.keepalive = seg.keepalive;
       chunk.borrowed = true;
       advance(nbytes);
-      note_bytes_borrowed(nbytes);
+      emit_metric(&RunCounterSink::bytes_borrowed, nbytes);
       return chunk;
     }
   }
   chunk.storage.resize(count);
   copy_out(chunk.storage.data(), nbytes);
-  note_bytes_copied(nbytes);
+  emit_metric(&RunCounterSink::bytes_copied, nbytes);
   chunk.view = chunk.storage;
   return chunk;
 }

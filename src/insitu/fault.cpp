@@ -271,7 +271,7 @@ std::optional<WireMessage> transfer_with_retry(
     ++report.frames_sent;
     {
       const trace::Span send_span("transport.send");
-      note_bytes_on_wire(frame.total_bytes());
+      emit_metric(&RunCounterSink::bytes_on_wire, frame.total_bytes());
       tx.send_msg(frame);
     }
     try {

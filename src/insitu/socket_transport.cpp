@@ -164,7 +164,7 @@ public:
       iov.push_back({const_cast<std::uint8_t*>(seg.bytes.data()), seg.bytes.size()});
     send_all_vec(fd_.get(), iov);
     sent_ += msg.total_bytes();
-    note_bytes_borrowed(msg.total_bytes());
+    emit_metric(&RunCounterSink::bytes_borrowed, msg.total_bytes());
   }
 
   WireMessage recv_msg() override {

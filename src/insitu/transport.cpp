@@ -157,7 +157,7 @@ WireMessage frame_encode_msg(const WireMessage& payload, WireCodec codec) {
       const ThreadCpuTimer cpu;
       coded = lz::compress(
           lz::byte_shuffle(gather_message(payload), kCodecShuffleStride));
-      note_compress_cpu_seconds(cpu.elapsed());
+      emit_metric(&RunCounterSink::compress_cpu_seconds, cpu.elapsed());
     }
     if (coded.size() < payload.total_bytes()) {
       std::vector<std::uint8_t> header;
@@ -256,7 +256,7 @@ WireMessage decode_lz_frame(const WireMessage& frame,
   lz::decompress(coded_bytes, shuffled);
   std::vector<std::uint8_t> raw =
       lz::byte_unshuffle(shuffled, kCodecShuffleStride);
-  note_compress_cpu_seconds(cpu.elapsed());
+  emit_metric(&RunCounterSink::compress_cpu_seconds, cpu.elapsed());
   WireMessage payload;
   payload.append_owned(Buffer::adopt(std::move(raw)));
   return payload;
@@ -298,7 +298,7 @@ WireMessage frame_decode_msg(const WireMessage& frame) {
 void Transport::send_framed_msg(const WireMessage& payload, WireCodec codec) {
   const trace::Span span("transport.send");
   const WireMessage frame = frame_encode_msg(payload, codec);
-  note_bytes_on_wire(frame.total_bytes());
+  emit_metric(&RunCounterSink::bytes_on_wire, frame.total_bytes());
   send_msg(frame);
 }
 
@@ -400,10 +400,10 @@ public:
     WireMessage queued;
     for (const WireMessage::Segment& seg : msg.segments()) {
       if (seg.keepalive) {
-        note_bytes_borrowed(seg.bytes.size());
+        emit_metric(&RunCounterSink::bytes_borrowed, seg.bytes.size());
         queued.append_borrowed(seg.bytes, seg.keepalive);
       } else {
-        note_bytes_copied(seg.bytes.size());
+        emit_metric(&RunCounterSink::bytes_copied, seg.bytes.size());
         queued.append_owned(Buffer::copy_of(seg.bytes));
       }
     }

@@ -109,24 +109,69 @@ TEST(WireMessage, OwnedSegmentsSurviveDroppedBufferHandles) {
 }
 
 TEST(WireMessage, FlattenCountsCopiedBytes) {
-  reset_data_plane_counters();
   WireMessage m;
   m.append_owned(Buffer::allocate(100));
-  (void)m.flatten();
-  EXPECT_EQ(data_plane_counters().bytes_copied, 100u);
+  RunCounterSink sink;
+  {
+    const RunSinkScope scope(&sink);
+    (void)m.flatten();
+  }
+  EXPECT_EQ(sink.bytes_copied.load(), 100u);
+  EXPECT_EQ(sink.bytes_borrowed.load(), 0u);
 }
 
 TEST(DataPlaneCounters, NoteAndReset) {
-  reset_data_plane_counters();
-  note_bytes_copied(10);
-  note_bytes_borrowed(25);
-  note_bytes_borrowed(5);
-  const DataPlaneCounters c = data_plane_counters();
-  EXPECT_EQ(c.bytes_copied, 10u);
-  EXPECT_EQ(c.bytes_borrowed, 30u);
-  reset_data_plane_counters();
-  EXPECT_EQ(data_plane_counters().bytes_copied, 0u);
-  EXPECT_EQ(data_plane_counters().bytes_borrowed, 0u);
+  RunCounterSink sink;
+  {
+    const RunSinkScope scope(&sink);
+    emit_metric(&RunCounterSink::bytes_copied, 10);
+    emit_metric(&RunCounterSink::bytes_borrowed, 25);
+    emit_metric(&RunCounterSink::bytes_borrowed, 5);
+  }
+  EXPECT_EQ(sink.bytes_copied.load(), 10u);
+  EXPECT_EQ(sink.bytes_borrowed.load(), 30u);
+  // Outside every scope the emitter is a no-op; a reset is a fresh sink.
+  emit_metric(&RunCounterSink::bytes_copied, 7);
+  EXPECT_EQ(sink.bytes_copied.load(), 10u);
+  const RunCounterSink fresh;
+  EXPECT_EQ(fresh.bytes_copied.load(), 0u);
+  EXPECT_EQ(fresh.bytes_borrowed.load(), 0u);
+}
+
+TEST(RunSinkScope, NestedScopesInnermostWinsAndNullMutes) {
+  RunCounterSink outer, inner;
+  EXPECT_EQ(current_run_sink(), nullptr);
+  {
+    const RunSinkScope outer_scope(&outer);
+    emit_metric(&RunCounterSink::bytes_on_wire, 1);
+    {
+      const RunSinkScope inner_scope(&inner);
+      EXPECT_EQ(current_run_sink(), &inner);
+      emit_metric(&RunCounterSink::bytes_on_wire, 10);
+      {
+        const RunSinkScope mute(nullptr);
+        EXPECT_EQ(current_run_sink(), nullptr);
+        emit_metric(&RunCounterSink::bytes_on_wire, 100);
+      }
+      emit_metric(&RunCounterSink::bytes_on_wire, 1000);
+    }
+    EXPECT_EQ(current_run_sink(), &outer);
+    emit_metric(&RunCounterSink::bytes_on_wire, 10000);
+  }
+  EXPECT_EQ(current_run_sink(), nullptr);
+  EXPECT_EQ(outer.bytes_on_wire.load(), 10001u);
+  EXPECT_EQ(inner.bytes_on_wire.load(), 1010u);
+}
+
+TEST(RunSinkScope, CellsCombineByTheirMergeRule) {
+  RunCounterSink sink;
+  const RunSinkScope scope(&sink);
+  emit_metric(&RunCounterSink::cache_bytes, 300);
+  emit_metric(&RunCounterSink::cache_bytes, 100);
+  emit_metric(&RunCounterSink::compress_cpu_seconds, 0.25);
+  emit_metric(&RunCounterSink::compress_cpu_seconds, 0.5);
+  EXPECT_EQ(sink.cache_bytes.load(), 300u); // max-merged gauge
+  EXPECT_DOUBLE_EQ(sink.compress_cpu_seconds.load(), 0.75);
 }
 
 TEST(CowArray, OwnedModeBehavesLikeVector) {
@@ -161,10 +206,13 @@ TEST(CowArray, FirstMutationMaterializesAPrivateCopy) {
   CowArray<int> a;
   a.adopt(std::span<const int>(*slab), slab);
 
-  reset_data_plane_counters();
-  a.mut(0) = 100;
+  RunCounterSink sink;
+  {
+    const RunSinkScope scope(&sink);
+    a.mut(0) = 100;
+  }
   EXPECT_FALSE(a.borrowed());
-  EXPECT_EQ(data_plane_counters().bytes_copied, 3 * sizeof(int));
+  EXPECT_EQ(sink.bytes_copied.load(), 3 * sizeof(int));
   EXPECT_EQ(a[0], 100);
   EXPECT_EQ((*slab)[0], 1); // the source is never written through
   EXPECT_NE(a.view().data(), slab->data());

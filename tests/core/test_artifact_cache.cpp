@@ -307,5 +307,15 @@ TEST(GlobalArtifactCache, DefaultsOnWithDocumentedBudget) {
   EXPECT_EQ(&cache, &global_artifact_cache()); // one process-wide object
 }
 
+TEST(ArtifactCache, CacheBudgetParseRejectsPartialNumbers) {
+  const Bytes fallback = Bytes(512) << 20;
+  // strtoull would read "512MiB" as 512 bytes; the whole value must parse.
+  EXPECT_EQ(parse_cache_budget("512MiB"), fallback);
+  EXPECT_EQ(parse_cache_budget(""), fallback);
+  EXPECT_EQ(parse_cache_budget(nullptr), fallback);
+  EXPECT_EQ(parse_cache_budget("0"), 0u); // memoization off
+  EXPECT_EQ(parse_cache_budget("1048576"), Bytes(1) << 20);
+}
+
 } // namespace
 } // namespace eth

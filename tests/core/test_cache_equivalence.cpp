@@ -18,6 +18,8 @@
 #include "data/image.hpp"
 #include "render/compositor.hpp"
 
+#include "../metric_checks.hpp"
+
 namespace eth {
 namespace {
 
@@ -85,19 +87,15 @@ std::vector<std::vector<std::uint8_t>> packed_images(
   return packed;
 }
 
-bool is_cache_column(const std::string& name) {
-  return name == "cache_hits" || name == "cache_misses" ||
-         name == "cache_bytes" || name == "prefetch_hits";
-}
-
-/// Compare two robustness tables cell by cell, skipping the
-/// observational cache_* columns (the only ones allowed to differ).
+/// Compare two robustness tables cell by cell, skipping the columns of
+/// cache-class metrics (the only ones allowed to differ).
 void expect_tables_match_modulo_cache(const ResultTable& a, const ResultTable& b) {
   ASSERT_EQ(a.columns(), b.columns());
   ASSERT_EQ(a.num_rows(), b.num_rows());
   for (std::size_t row = 0; row < a.num_rows(); ++row)
     for (std::size_t col = 0; col < a.num_columns(); ++col) {
-      if (is_cache_column(a.columns()[col])) continue;
+      const std::optional<MetricInfo> metric = find_metric(a.columns()[col]);
+      if (metric && metric->determinism == Determinism::cache) continue;
       EXPECT_EQ(a.cell(row, col), b.cell(row, col))
           << "row=" << row << " col=" << a.columns()[col];
     }
@@ -143,11 +141,18 @@ void expect_equivalence(const ExperimentSpec& base, bool with_disk_proxy) {
         << "warm image differs at point " << i;
   }
 
-  // Counter tables: identical except the observational cache columns.
+  // Counter tables: identical except the observational cache columns;
+  // every deterministic metric matches bit for bit.
   expect_tables_match_modulo_cache(robustness_table("point", off),
                                    robustness_table("point", cold));
   expect_tables_match_modulo_cache(robustness_table("point", off),
                                    robustness_table("point", warm));
+  for (std::size_t i = 0; i < off.size(); ++i) {
+    expect_deterministic_metrics_identical(off[i].result.counters, cold[i].result.counters,
+                                           "cold point " + off[i].label);
+    expect_deterministic_metrics_identical(off[i].result.counters, warm[i].result.counters,
+                                           "warm point " + off[i].label);
+  }
 
   // The warm pass must actually have hit the cache.
   Index warm_hits = 0;

@@ -175,10 +175,8 @@ TEST(RunSweep, ExecutesInOrderWithCallback) {
 TEST(TableGolden, MetricsTableColumns) {
   const std::vector<SweepOutcome> outcomes;
   const ResultTable table = metrics_table("ratio", outcomes);
-  const std::vector<std::string> expected{
-      "ratio",      "time_s",       "power_kW",    "dyn_power_kW", "energy_MJ",
-      "cache_hits", "cache_misses", "cache_bytes", "prefetch_hits",
-      "bytes_on_wire"};
+  const std::vector<std::string> expected{"ratio", "time_s", "power_kW", "dyn_power_kW",
+                                          "energy_MJ"};
   EXPECT_EQ(table.columns(), expected);
 }
 

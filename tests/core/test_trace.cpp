@@ -258,23 +258,6 @@ TEST(Trace, SocketCoupledExchangeTracesEveryTransportPhase) {
   std::filesystem::remove_all(dir);
 }
 
-// Regression for the robustness-table gating fix: a traced clean run
-// must print the table (zeroed fault columns) even though nothing
-// faulted, while an untraced clean run must not.
-TEST(Trace, ShouldPrintRobustnessForTracedCleanRuns) {
-  std::vector<SweepPoint> points(1);
-  std::vector<SweepOutcome> outcomes(1);
-  EXPECT_FALSE(should_print_robustness(points, outcomes, false));
-  EXPECT_TRUE(should_print_robustness(points, outcomes, true));
-
-  // Faults or retries still trigger the table without tracing.
-  points[0].spec.fault.p_bit_flip = 0.5;
-  EXPECT_TRUE(should_print_robustness(points, outcomes, false));
-  points[0].spec.fault.p_bit_flip = 0;
-  outcomes[0].result.robustness.frames_retried = 1;
-  EXPECT_TRUE(should_print_robustness(points, outcomes, false));
-}
-
 TEST(Trace, TraceSummaryTableListsSpanRows) {
   TraceStateGuard guard(true);
   { const trace::Span span("phase_x"); }

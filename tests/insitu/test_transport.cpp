@@ -124,7 +124,8 @@ TEST(InProcChannel, ZeroCopyDatasetAliasesSenderStorage) {
   id.set(1, 42);
   ps->point_fields().add(std::move(id));
 
-  reset_data_plane_counters();
+  RunCounterSink sink;
+  const RunSinkScope sink_scope(&sink);
   a->send_dataset(std::shared_ptr<const PointSet>(ps));
   const auto restored = b->recv_dataset();
   const auto& r = static_cast<const PointSet&>(*restored);
@@ -137,8 +138,7 @@ TEST(InProcChannel, ZeroCopyDatasetAliasesSenderStorage) {
   EXPECT_EQ(r.point_fields().get("id").get(1), 42);
   // Only the small frame/section headers were copied into the queue;
   // the bulk payload crossed by reference.
-  const DataPlaneCounters c = data_plane_counters();
-  EXPECT_GT(c.bytes_borrowed, c.bytes_copied);
+  EXPECT_GT(sink.bytes_borrowed.load(), sink.bytes_copied.load());
 }
 
 TEST(InProcChannel, BorrowedDatasetSurvivesSenderAndChannelDestruction) {

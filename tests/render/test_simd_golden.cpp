@@ -35,6 +35,8 @@
 #include "render/ray/bvh.hpp"
 #include "render/ray/raycaster.hpp"
 
+#include "../metric_checks.hpp"
+
 namespace eth {
 namespace {
 
@@ -596,21 +598,6 @@ std::vector<SweepPoint> sampling_sweep(const ExperimentSpec& base) {
       [](const double& r, ExperimentSpec& spec) { spec.viz.sampling_ratio = r; });
 }
 
-void expect_counters_identical(const cluster::PerfCounters& a,
-                               const cluster::PerfCounters& b,
-                               const std::string& what) {
-  EXPECT_EQ(a.elements_processed, b.elements_processed) << what;
-  EXPECT_EQ(a.primitives_emitted, b.primitives_emitted) << what;
-  EXPECT_EQ(a.rays_cast, b.rays_cast) << what;
-  EXPECT_EQ(a.ray_steps, b.ray_steps) << what;
-  EXPECT_EQ(a.bvh_nodes_visited, b.bvh_nodes_visited) << what;
-  EXPECT_EQ(a.flop_estimate, b.flop_estimate) << what;
-  EXPECT_EQ(a.bytes_read, b.bytes_read) << what;
-  EXPECT_EQ(a.bytes_written, b.bytes_written) << what;
-  EXPECT_EQ(a.bytes_communicated, b.bytes_communicated) << what;
-  EXPECT_EQ(a.max_parallel_items, b.max_parallel_items) << what;
-}
-
 /// Run the sweep under ETH_SIMD=scalar and native at each thread count;
 /// per thread count the scalar run is the golden reference the native
 /// run must reproduce bit for bit.
@@ -643,8 +630,8 @@ void expect_simd_equivalence(const ExperimentSpec& base) {
       ASSERT_EQ(golden.size(), native.size()) << what;
       EXPECT_EQ(std::memcmp(golden.data(), native.data(), golden.size()), 0)
           << "image differs: " << what;
-      expect_counters_identical(scalar_run[i].result.counters,
-                                native_run[i].result.counters, what);
+      expect_deterministic_metrics_identical(scalar_run[i].result.counters,
+                                             native_run[i].result.counters, what);
     }
 
     // Entire robustness tables — frame accounting, cache columns (all

@@ -58,7 +58,8 @@ trace_json="$(mktemp /tmp/eth_trace_gate.XXXXXX.json)"
 ETH_TRACE="${trace_json}" ./build-release/tools/eth_explore tools/trace_gate.cfg
 ./build-release/tools/eth_trace_check "${trace_json}" \
   sim.load serialize deserialize transport.send transport.recv \
-  transport.compress transport.decompress bytes_on_wire transfer \
+  transport.compress transport.decompress bytes_on_wire bytes_copied \
+  bytes_borrowed transfer \
   transfer.retry filter.sample render.build render.raycast composite \
   pack_image chunk cache.miss cache_bytes model.generate model.viz \
   model.composite model.write
@@ -101,8 +102,8 @@ ETH_THREADS="${ETH_THREADS:-4}" TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" 
 
 # CodecGate under TSan: frame compression runs on stage workers and
 # rank threads concurrently, and the codec resolution (ETH_WIRE_CODEC)
-# plus the wire counters are process-wide shared state — the sanitizer
-# verifies the once-resolution and the atomic counter tees.
+# plus the run sink's wire counters are shared between threads — the
+# sanitizer verifies the once-resolution and the atomic counter tees.
 echo "==== codec gate (build-tsan) ===="
 ETH_THREADS="${ETH_THREADS:-4}" TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
   ctest --test-dir build-tsan --output-on-failure --no-tests=error -R 'CodecEquivalence|LzCodec'
@@ -154,7 +155,9 @@ rm -f "${async_json}"
 # AddressSanitizer over the data/in-situ suites: the zero-copy data
 # plane aliases receive buffers and peers' live arrays (common/buffer),
 # so the lifetime contract — keepalives pin every borrowed span — is
-# exactly what ASan's use-after-free detection verifies.
+# exactly what ASan's use-after-free detection verifies. The metric
+# registry suites ride along: scoped run sinks are thread-local
+# pointers to stack objects, the classic use-after-scope shape.
 asan_variant() {
   local dir="build-asan"
   echo "==== configure ${dir} (address sanitizer) ===="
@@ -164,7 +167,7 @@ asan_variant() {
   cmake --build "${dir}" -j "${jobs}"
   echo "==== test ${dir} (data + insitu + buffer suites) ===="
   ctest --test-dir "${dir}" --output-on-failure --no-tests=error \
-    -R 'Buffer|CowArray|DataPlane|WireMessage|Serialize|GoldenWireFormat|InProc|Socket|Fault|Frame|Transport|LzCodec|CodecEquivalence|QuantizePack|CompressDataset|XrageGenerator|GridBlockRange'
+    -R 'Buffer|CowArray|DataPlane|WireMessage|PerfCounters|RunSink|Serialize|GoldenWireFormat|InProc|Socket|Fault|Frame|Transport|LzCodec|CodecEquivalence|QuantizePack|CompressDataset|XrageGenerator|GridBlockRange'
 }
 ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1}" asan_variant
 

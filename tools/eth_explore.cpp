@@ -109,12 +109,11 @@ int main(int argc, char** argv) {
 
     const ResultTable table = metrics_table("configuration", outcomes);
     std::printf("\n%s", table.to_text().c_str());
+    // The counter table prints on every run: transport outcomes plus the
+    // data-plane, wire and cache counts (each column exactly once).
+    std::printf("\n%s", robustness_table("configuration", outcomes).to_text().c_str());
 
-    // Robustness counters print for faulted/retried runs — and for
-    // every traced run, so the trace and the counters land together.
     const std::string trace_path = trace::env_trace_path();
-    if (should_print_robustness(points, outcomes, !trace_path.empty()))
-      std::printf("\n%s", robustness_table("configuration", outcomes).to_text().c_str());
 
     if (!trace_path.empty()) {
       std::printf("\n%s", trace_summary_table().to_text().c_str());
