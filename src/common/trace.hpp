@@ -205,7 +205,7 @@ std::string chrome_trace_json();
 void write_chrome_trace(const std::string& path);
 
 /// Per-name aggregation of the current snapshot, sorted by name:
-/// span count and total/self duration, counter last-values.
+/// span count and total (inclusive) duration, counter last-values.
 struct SummaryRow {
   std::string name;
   std::int64_t count = 0;

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/string_util.hpp"
@@ -19,6 +20,16 @@ FilePtr open_file(const std::string& path, const char* mode) {
   FilePtr f(std::fopen(path.c_str(), mode), &std::fclose);
   require(f != nullptr, "cannot open '" + path + "'");
   return f;
+}
+
+/// Bytes between the read position and the end of the file.
+Index bytes_left(std::FILE* f, const std::string& path) {
+  const long here = std::ftell(f);
+  require(here >= 0 && std::fseek(f, 0, SEEK_END) == 0, "cannot seek in '" + path + "'");
+  const long end = std::ftell(f);
+  require(end >= here && std::fseek(f, here, SEEK_SET) == 0,
+          "cannot seek in '" + path + "'");
+  return static_cast<Index>(end - here);
 }
 
 std::string read_line(std::FILE* f, const std::string& path) {
@@ -58,6 +69,12 @@ std::unique_ptr<DataSet> read_dataset(const std::string& path) {
   require(starts_with(bytes_line, "bytes "), "'" + path + "': missing bytes line");
   const Index payload_size = parse_index(bytes_line.substr(6), path);
   require(payload_size >= 0, "'" + path + "': negative payload size");
+  // The header is untrusted: check its size against the file before
+  // allocating, so a corrupt count cannot ask for gigabytes.
+  const Index remaining = bytes_left(f.get(), path);
+  require(payload_size <= remaining,
+          "'" + path + "': header declares " + std::to_string(payload_size) +
+              " payload bytes but only " + std::to_string(remaining) + " remain");
 
   std::vector<std::uint8_t> payload(static_cast<std::size_t>(payload_size));
   require(std::fread(payload.data(), 1, payload.size(), f.get()) == payload.size(),

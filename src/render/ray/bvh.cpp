@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
+#include <cstdint>
+#include <limits>
 
 #include "common/error.hpp"
 #include "common/simd_kernels.hpp"
@@ -23,52 +24,103 @@ Real ray_sphere(const Ray& ray, Vec3f center, Real radius, Real tmin, Real tmax)
   return t;
 }
 
+// One sphere as the build sees it: its center and its input index in 16
+// contiguous bytes, so every pass over a node is a sequential scan instead
+// of a gather through the permutation.
+struct SphereBVH::BuildRecord {
+  Vec3f center;
+  std::uint32_t id;
+};
+
 SphereBVH::SphereBVH(std::span<const Vec3f> centers, Real radius, SplitMethod split,
                      int max_leaf_size) {
   require(radius > 0 || centers.empty(), "SphereBVH: radius must be positive");
   require(max_leaf_size >= 1, "SphereBVH: max_leaf_size must be >= 1");
+  require(centers.size() <= std::numeric_limits<std::uint32_t>::max(),
+          "SphereBVH: more than 2^32-1 spheres");
   radius_ = radius;
-  const Index n = static_cast<Index>(centers.size());
+  const std::size_t n = centers.size();
   if (n == 0) return;
 
-  prim_order_.resize(static_cast<std::size_t>(n));
-  std::iota(prim_order_.begin(), prim_order_.end(), Index(0));
-  nodes_.reserve(static_cast<std::size_t>(2 * n));
-  build_recursive(centers, 0, n, split, max_leaf_size, 0);
+  std::vector<BuildRecord> records(n);
+  std::vector<std::uint8_t> bin_ids(n);
+  AABB centroid_box;
+  bool finite = true;
+  for (std::size_t i = 0; i < n; ++i) {
+    const Vec3f c = centers[i];
+    records[i] = {c, static_cast<std::uint32_t>(i)};
+    centroid_box.extend(c);
+    finite = finite && std::isfinite(c.x) && std::isfinite(c.y) && std::isfinite(c.z);
+  }
+  // A NaN or infinite center would make its bin index undefined.
+  require(finite, "SphereBVH: sphere centers must be finite");
+  nodes_.reserve(2 * n);
+  build_recursive(records, bin_ids, 0, static_cast<Index>(n), centroid_box, split,
+                  max_leaf_size, 0);
 
-  // Gather centers into BVH leaf order for cache-coherent traversal,
-  // plus SoA copies for the SIMD leaf kernel.
-  centers_.resize(static_cast<std::size_t>(n));
-  cx_.resize(static_cast<std::size_t>(n));
-  cy_.resize(static_cast<std::size_t>(n));
-  cz_.resize(static_cast<std::size_t>(n));
-  for (Index slot = 0; slot < n; ++slot) {
-    const Vec3f c =
-        centers[static_cast<std::size_t>(prim_order_[static_cast<std::size_t>(slot)])];
-    centers_[static_cast<std::size_t>(slot)] = c;
-    cx_[static_cast<std::size_t>(slot)] = c.x;
-    cy_[static_cast<std::size_t>(slot)] = c.y;
-    cz_[static_cast<std::size_t>(slot)] = c.z;
+  // The records now sit in leaf order: the permutation and the SoA
+  // copies the SIMD leaf kernel loads W spheres per axis from.
+  prim_order_.resize(n);
+  cx_.resize(n);
+  cy_.resize(n);
+  cz_.resize(n);
+  for (std::size_t slot = 0; slot < n; ++slot) {
+    prim_order_[slot] = records[slot].id;
+    cx_[slot] = records[slot].center.x;
+    cy_[slot] = records[slot].center.y;
+    cz_[slot] = records[slot].center.z;
   }
 }
 
-Index SphereBVH::build_recursive(std::span<const Vec3f> centers, Index begin, Index end,
-                                 SplitMethod split, int max_leaf_size, int depth) {
+void SphereBVH::partition_by_bin(std::span<BuildRecord> records,
+                                 std::span<const std::uint8_t> bin_ids, Index begin,
+                                 Index mid, Index end, int last_left_bin) {
+  // Offsets of misplaced records, collected a block at a time without a
+  // data-dependent branch: left-side slots ascending, right-side descending.
+  constexpr Index kBlock = 128;
+  Index left[kBlock];
+  Index right[kBlock];
+  Index next_left = begin; // next unscanned slot of [begin, mid)
+  Index next_right = end;  // one past the next unscanned slot of [mid, end)
+  Index nl = 0, pl = 0, nr = 0, pr = 0;
+  for (;;) {
+    while (pl == nl && next_left < mid) {
+      pl = nl = 0;
+      for (const Index stop = std::min(mid, next_left + kBlock); next_left < stop;
+           ++next_left) {
+        left[nl] = next_left;
+        nl += bin_ids[static_cast<std::size_t>(next_left)] > last_left_bin;
+      }
+    }
+    while (pr == nr && next_right > mid) {
+      pr = nr = 0;
+      for (const Index stop = std::max(mid, next_right - kBlock); next_right > stop;) {
+        --next_right;
+        right[nr] = next_right;
+        nr += bin_ids[static_cast<std::size_t>(next_right)] <= last_left_bin;
+      }
+    }
+    // Both sides hold equally many misplaced records, so one side running
+    // out means every pair is swapped.
+    if (pl == nl || pr == nr) return;
+    const Index pairs = std::min(nl - pl, nr - pr);
+    for (Index k = 0; k < pairs; ++k)
+      std::swap(records[static_cast<std::size_t>(left[pl + k])],
+                records[static_cast<std::size_t>(right[pr + k])]);
+    pl += pairs;
+    pr += pairs;
+  }
+}
+
+Index SphereBVH::build_recursive(std::span<BuildRecord> records,
+                                 std::span<std::uint8_t> bin_ids, Index begin, Index end,
+                                 const AABB& centroid_box, SplitMethod split,
+                                 int max_leaf_size, int depth) {
   const Index node_index = static_cast<Index>(nodes_.size());
   nodes_.emplace_back();
-
-  AABB box;
-  AABB centroid_box;
-  for (Index s = begin; s < end; ++s) {
-    const Vec3f c = centers[static_cast<std::size_t>(prim_order_[static_cast<std::size_t>(s)])];
-    centroid_box.extend(c);
-    box.extend(c);
-  }
-  box = box.inflated(radius_);
-  nodes_[static_cast<std::size_t>(node_index)].box = box;
+  nodes_[static_cast<std::size_t>(node_index)].box = centroid_box.inflated(radius_);
 
   const Index count = end - begin;
-  constexpr int kMaxDepth = 64;
   if (count <= max_leaf_size || depth >= kMaxDepth ||
       centroid_box.diagonal() <= Real(0)) {
     nodes_[static_cast<std::size_t>(node_index)].right_or_first = begin;
@@ -77,15 +129,14 @@ Index SphereBVH::build_recursive(std::span<const Vec3f> centers, Index begin, In
   }
 
   const int axis = centroid_box.longest_axis();
+  const auto first = records.begin() + begin;
+  const auto last = records.begin() + end;
   Index mid = begin + count / 2;
+  AABB left_box;
+  AABB right_box;
+  int best_split = -1; // SAH: last bin left of the winning plane
 
-  if (split == SplitMethod::kMedian) {
-    std::nth_element(prim_order_.begin() + begin, prim_order_.begin() + mid,
-                     prim_order_.begin() + end, [&](Index a, Index b) {
-                       return centers[static_cast<std::size_t>(a)][axis] <
-                              centers[static_cast<std::size_t>(b)][axis];
-                     });
-  } else {
+  if (split == SplitMethod::kBinnedSAH) {
     // Binned SAH: 16 bins along the widest centroid axis.
     constexpr int kBins = 16;
     struct Bin {
@@ -99,12 +150,15 @@ Index SphereBVH::build_recursive(std::span<const Vec3f> centers, Index begin, In
       return std::min<int>(kBins - 1, static_cast<int>((c[axis] - lo) / span * kBins));
     };
     for (Index s = begin; s < end; ++s) {
-      const Vec3f c = centers[static_cast<std::size_t>(prim_order_[static_cast<std::size_t>(s)])];
-      Bin& bin = bins[bin_of(c)];
-      bin.box.extend(c);
-      ++bin.count;
+      const Vec3f c = records[static_cast<std::size_t>(s)].center;
+      const int b = bin_of(c);
+      bin_ids[static_cast<std::size_t>(s)] = static_cast<std::uint8_t>(b);
+      bins[b].box.extend(c);
+      ++bins[b].count;
     }
-    // Sweep for the cheapest split plane by surface-area heuristic.
+    // Sweep for the cheapest split plane by surface-area heuristic. The
+    // bin unions on either side of the winning plane are exactly the
+    // children's centroid boxes, so the children skip their bounds pass.
     AABB right_acc[kBins];
     AABB acc;
     for (int b = kBins - 1; b > 0; --b) {
@@ -112,7 +166,7 @@ Index SphereBVH::build_recursive(std::span<const Vec3f> centers, Index begin, In
       right_acc[b] = acc;
     }
     Real best_cost = std::numeric_limits<Real>::max();
-    int best_split = -1;
+    Index best_left_count = 0;
     AABB left_acc;
     Index left_count = 0;
     for (int b = 0; b + 1 < kBins; ++b) {
@@ -125,28 +179,30 @@ Index SphereBVH::build_recursive(std::span<const Vec3f> centers, Index begin, In
       if (cost < best_cost) {
         best_cost = cost;
         best_split = b;
+        best_left_count = left_count;
+        left_box = left_acc;
       }
     }
-    if (best_split < 0) {
-      // All centroids in one bin: fall back to median split.
-      std::nth_element(prim_order_.begin() + begin, prim_order_.begin() + mid,
-                       prim_order_.begin() + end, [&](Index a, Index b) {
-                         return centers[static_cast<std::size_t>(a)][axis] <
-                                centers[static_cast<std::size_t>(b)][axis];
-                       });
-    } else {
-      const auto it = std::partition(
-          prim_order_.begin() + begin, prim_order_.begin() + end, [&](Index a) {
-            return bin_of(centers[static_cast<std::size_t>(a)]) <= best_split;
-          });
-      mid = static_cast<Index>(it - prim_order_.begin());
-      if (mid == begin || mid == end) mid = begin + count / 2; // degenerate guard
+    if (best_split >= 0) {
+      mid = begin + best_left_count; // both sides non-empty: begin < mid < end
+      partition_by_bin(records, bin_ids, begin, mid, end, best_split);
+      right_box = right_acc[best_split + 1];
     }
   }
+  if (best_split < 0) {
+    // Median split, or SAH with every centroid in one bin.
+    std::nth_element(first, records.begin() + mid, last,
+                     [axis](const BuildRecord& a, const BuildRecord& b) {
+                       return a.center[axis] < b.center[axis];
+                     });
+    for (auto it = first; it != records.begin() + mid; ++it) left_box.extend(it->center);
+    for (auto it = records.begin() + mid; it != last; ++it) right_box.extend(it->center);
+  }
 
-  build_recursive(centers, begin, mid, split, max_leaf_size, depth + 1);
-  const Index right_child =
-      build_recursive(centers, mid, end, split, max_leaf_size, depth + 1);
+  build_recursive(records, bin_ids, begin, mid, left_box, split, max_leaf_size,
+                  depth + 1);
+  const Index right_child = build_recursive(records, bin_ids, mid, end, right_box, split,
+                                            max_leaf_size, depth + 1);
   nodes_[static_cast<std::size_t>(node_index)].right_or_first = right_child;
   nodes_[static_cast<std::size_t>(node_index)].count = 0;
   return node_index;
@@ -164,7 +220,10 @@ SphereHit SphereBVH::intersect(const Ray& ray, Real tmin, Real tmax,
   Index slot = -1; // leaf-order slot of the accepted sphere
   const simd::KernelTable* table = simd::active_kernels();
 
-  Index stack[64];
+  // Interior nodes sit at depth < kMaxDepth. Popping one at depth d leaves
+  // at most one pending right sibling per depth 1..d on the stack, then
+  // pushes its two children: d + 2 <= kMaxDepth + 1 entries.
+  Index stack[kMaxDepth + 1];
   int top = 0;
   stack[top++] = 0;
   while (top > 0) {
@@ -182,8 +241,7 @@ SphereHit SphereBVH::intersect(const Ray& ray, Real tmin, Real tmax,
       } else {
         for (Index s = node.right_or_first; s < node.right_or_first + node.count;
              ++s) {
-          const Vec3f c = centers_[static_cast<std::size_t>(s)];
-          const Real t = ray_sphere(ray, c, radius_, tmin, closest);
+          const Real t = ray_sphere(ray, center(s), radius_, tmin, closest);
           if (t > 0) {
             closest = t;
             slot = s;
@@ -196,16 +254,14 @@ SphereHit SphereBVH::intersect(const Ray& ray, Real tmin, Real tmax,
       // pops next.
       stack[top++] = node.right_or_first;
       stack[top++] = static_cast<Index>(&node - nodes_.data()) + 1;
-      require(top <= 64, "SphereBVH: traversal stack overflow");
     }
   }
   if (slot >= 0) {
     // Same expression and inputs as the old per-accept update, deferred
     // to the winning sphere so the leaf loop only tracks (closest, slot).
-    const Vec3f c = centers_[static_cast<std::size_t>(slot)];
     hit.t = closest;
     hit.primitive = prim_order_[static_cast<std::size_t>(slot)];
-    hit.normal = normalize(ray.origin + ray.direction * closest - c);
+    hit.normal = normalize(ray.origin + ray.direction * closest - center(slot));
   }
   counters.bvh_nodes_visited += visited;
   return hit;
@@ -222,6 +278,7 @@ int SphereBVH::depth_of(Index node_index) const {
 void SphereBVH::validate(std::span<const Vec3f> centers) const {
   require(centers.size() == prim_order_.size(), "SphereBVH::validate: size mismatch");
   if (centers.empty()) return;
+  require(max_depth() <= kMaxDepth + 1, "SphereBVH::validate: tree deeper than the cap");
 
   std::vector<char> seen(centers.size(), 0);
   for (std::size_t node_index = 0; node_index < nodes_.size(); ++node_index) {

@@ -10,6 +10,7 @@
 // attributes raycasting's extra computation to — the harness times
 // build and traversal separately.
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -29,10 +30,11 @@ struct SphereHit {
 
 class SphereBVH {
 public:
-  /// Build over `centers` with a common `radius`. Empty input allowed.
   enum class SplitMethod { kBinnedSAH, kMedian };
 
   SphereBVH() = default;
+  /// Build over `centers` with a common `radius`. Empty input allowed;
+  /// non-finite centers are rejected with eth::Error.
   SphereBVH(std::span<const Vec3f> centers, Real radius,
             SplitMethod split = SplitMethod::kBinnedSAH, int max_leaf_size = 4);
 
@@ -46,7 +48,6 @@ public:
   Bytes byte_size() const {
     return static_cast<Bytes>(nodes_.size() * sizeof(Node) +
                               prim_order_.size() * sizeof(Index) +
-                              centers_.size() * sizeof(Vec3f) +
                               3 * cx_.size() * sizeof(Real));
   }
 
@@ -58,11 +59,17 @@ public:
   int max_depth() const;
 
   /// Invariant check used by property tests: every primitive is
-  /// referenced exactly once and every leaf's primitives are inside its
-  /// box. Throws eth::Error on violation.
+  /// referenced exactly once, every leaf's primitives are inside its box
+  /// and no interior node sits at or below the depth cap. Throws
+  /// eth::Error on violation.
   void validate(std::span<const Vec3f> centers) const;
 
 private:
+  struct BuildRecord; ///< (center, input index): one sphere during the build
+
+  /// Nodes at this depth become leaves, which bounds the traversal stack.
+  static constexpr int kMaxDepth = 64;
+
   struct Node {
     AABB box;
     // Interior: left child = index + 1, right child = `right_or_first`.
@@ -73,13 +80,26 @@ private:
     bool is_leaf() const { return count > 0; }
   };
 
-  Index build_recursive(std::span<const Vec3f> centers, Index begin, Index end,
+  Index build_recursive(std::span<BuildRecord> records, std::span<std::uint8_t> bin_ids,
+                        Index begin, Index end, const AABB& centroid_box,
                         SplitMethod split, int max_leaf_size, int depth);
+  /// Moves the records of [begin, end) whose cached bin is at most
+  /// `last_left_bin` to [begin, mid), `mid` being begin plus their count.
+  /// It swaps the k-th misplaced record from the left with the k-th
+  /// misplaced record from the right: the very swaps libstdc++'s
+  /// bidirectional std::partition makes, so the records land where it
+  /// would put them.
+  static void partition_by_bin(std::span<BuildRecord> records,
+                               std::span<const std::uint8_t> bin_ids, Index begin,
+                               Index mid, Index end, int last_left_bin);
   int depth_of(Index node) const;
+  Vec3f center(Index slot) const {
+    const auto s = static_cast<std::size_t>(slot);
+    return {cx_[s], cy_[s], cz_[s]};
+  }
 
   std::vector<Node> nodes_;
   std::vector<Index> prim_order_;
-  std::vector<Vec3f> centers_; ///< copy in BVH order for cache-coherent leaves
   // Leaf-order SoA copies of the centers: the SIMD leaf kernel loads W
   // contiguous spheres per axis (DESIGN.md §14).
   std::vector<Real> cx_, cy_, cz_;

@@ -99,6 +99,26 @@ TEST_F(VtkIoTest, TruncatedPayloadRejected) {
   EXPECT_THROW(read_dataset(path("trunc.eth")), Error);
 }
 
+TEST_F(VtkIoTest, OversizedDeclaredPayloadRejectedBeforeAllocating) {
+  // A valid header claiming more bytes than the file holds must fail on
+  // the size check itself: not after allocating the claimed size, and
+  // never with std::bad_alloc.
+  for (const std::string declared : {"500000000", "99999999999999"}) {
+    std::ofstream f(path("huge.eth"), std::ios::binary);
+    f << "# eth DataFile v1\nkind PointSet\nbytes " << declared << "\n0123";
+    f.close();
+    try {
+      read_dataset(path("huge.eth"));
+      ADD_FAILURE() << "bytes " << declared << " loaded";
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("declares " + declared + " payload bytes but only 4 remain"),
+                std::string::npos)
+          << what;
+    }
+  }
+}
+
 TEST_F(VtkIoTest, HeaderPayloadKindMismatchRejected) {
   const PointSet ps(2);
   write_dataset(ps, path("tamper.eth"));
