@@ -89,6 +89,35 @@ public:
 
   double normal(double mean, double stddev) { return mean + stddev * normal(); }
 
+  /// True while normal() holds the second variate of its last pair: the
+  /// next normal() returns it without drawing.
+  bool normal_cached() const { return has_cached_; }
+
+  /// Advance past `n` uniform draws without using them.
+  void skip(int n) {
+    for (int i = 0; i < n; ++i) next_u64();
+  }
+
+  /// Advance past one normal() call without the Box-Muller math: the
+  /// generator state and normal_cached() end up as normal() leaves
+  /// them, but a variate cached here is never computed. A stream
+  /// resumed from a copy of this generator is exact only while
+  /// normal_cached() is false.
+  void skip_normal() {
+    if (has_cached_) {
+      has_cached_ = false;
+      return;
+    }
+    double u1 = uniform();
+    while (u1 <= 1e-300) u1 = uniform();
+    skip(1);
+    has_cached_ = true;
+  }
+
+  /// Uniform draws consumed by unit_vector() and point_in_box().
+  static constexpr int kUnitVectorDraws = 2;
+  static constexpr int kPointInBoxDraws = 3;
+
   /// Uniform direction on the unit sphere.
   Vec3f unit_vector() {
     const double z = uniform(-1.0, 1.0);

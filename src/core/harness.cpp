@@ -5,6 +5,7 @@
 #include <cstring>
 #include <numeric>
 #include <cstdlib>
+#include <exception>
 #include <filesystem>
 #include <type_traits>
 
@@ -89,7 +90,7 @@ std::uint64_t app_fingerprint(const ExperimentSpec& spec) {
 }
 
 /// Provenance fingerprint of share `share` of `parts` at `timestep`.
-/// produce_share is pure (and extract_hacc_slab matches
+/// produce_share is pure (and the slabs of generate_hacc_slabs match
 /// generate_hacc_rank bit-for-bit), so this identifies the share's
 /// CONTENT whether it was synthesized in memory or read from a dump.
 std::uint64_t share_fingerprint(std::uint64_t app_fp, int share, int parts,
@@ -127,7 +128,10 @@ ShareRequest share_request(const ExperimentSpec& spec, std::uint64_t app_fp,
   const std::uint64_t file_fp = share_fingerprint(app_fp, share, parts, t);
   return {{file_fp, spec.use_disk_proxy ? "proxy.load" : "produce_share"},
           [&spec, case_name, file_fp, share, parts, t, r]() -> CacheArtifact {
-            ThreadCpuTimer timer;
+            // KernelTimer: in-memory HACC synthesis fans out over the
+            // pool, and its lent CPU is this share's cost (DESIGN.md
+            // §4.1); loads and xRAGE synthesis run on this thread.
+            KernelTimer timer;
             RunCounterSink taken;
             const RunSinkScope capture(&taken);
             std::shared_ptr<const DataSet> ds =
@@ -236,33 +240,56 @@ RunResult Harness::run(const ExperimentSpec& spec, const RunContext& ctx) const 
     std::vector<DumpCase> cases{{sim::DumpWriter(spec.proxy_dir, sim_case), P_sim}};
     if (internode && P_sim != P_viz)
       cases.push_back({sim::DumpWriter(spec.proxy_dir, viz_case), P_viz});
+    struct MissingFile {
+      int rank;
+      int share;
+      std::string path;
+      std::uint64_t fp;
+    };
     for (Index t = 0; t < spec.timesteps; ++t) {
-      // Particle slabs are filtered views of one stream: generate the
-      // timestep once — and only when some slab is missing — then slice
-      // it per share. Grid blocks evaluate analytically: direct
-      // per-share synthesis.
-      std::unique_ptr<DataSet> full;
-      const auto write_share = [&](const sim::DumpWriter& writer, int share,
-                                   int parts, int r) {
-        if (spec.application != Application::kHacc) {
-          writer.write(*produce_share(spec, share, parts, t), t, r);
-          return;
-        }
-        if (!full) full = produce_share(spec, 0, 1, t);
-        writer.write(sim::extract_hacc_slab(static_cast<const PointSet&>(*full),
-                                            spec.hacc.box_size, share, parts),
-                     t, r);
-      };
-      for (int r = 0; r < M; ++r) {
-        for (const DumpCase& dump : cases) {
+      for (const DumpCase& dump : cases) {
+        std::vector<MissingFile> missing;
+        for (int r = 0; r < M; ++r) {
           const int share = share_index(r, M, dump.parts);
-          const std::string path =
-              sim::dump_path(spec.proxy_dir, dump.writer.case_name(), t, r);
+          std::string path = sim::dump_path(spec.proxy_dir, dump.writer.case_name(), t, r);
           const std::uint64_t fp = share_fingerprint(app_fp, share, dump.parts, t);
           if (cache.lookup_dump(path) == fp && std::filesystem::exists(path)) continue;
-          write_share(dump.writer, share, dump.parts, r);
-          cache.register_dump(path, fp);
+          missing.push_back({r, share, std::move(path), fp});
         }
+        if (missing.empty()) continue;
+        // Grid blocks evaluate analytically: direct per-share synthesis.
+        if (spec.application != Application::kHacc) {
+          for (const MissingFile& file : missing) {
+            dump.writer.write(*produce_share(spec, file.share, dump.parts, t), t, file.rank);
+            cache.register_dump(file.path, file.fp);
+          }
+          continue;
+        }
+        // Particle slabs are filtered views of one stream: one parallel
+        // walk of the timestep's stream yields every slab of the case
+        // (DESIGN.md §18), and the missing files are written
+        // concurrently on the pool. A file enters the dump registry
+        // only once its write succeeded.
+        sim::HaccParams params = spec.hacc;
+        params.timestep = t;
+        const std::vector<PointSet> slabs = sim::generate_hacc_slabs(params, dump.parts);
+        std::vector<std::exception_ptr> errors(missing.size());
+        {
+          TaskGroup writes;
+          for (std::size_t k = 0; k < missing.size(); ++k)
+            writes.launch(global_pool(), [&, k] {
+              const MissingFile& file = missing[k];
+              try {
+                dump.writer.write(slabs[static_cast<std::size_t>(file.share)], t, file.rank);
+              } catch (...) {
+                errors[k] = std::current_exception();
+              }
+            });
+        }
+        for (std::size_t k = 0; k < missing.size(); ++k)
+          if (!errors[k]) cache.register_dump(missing[k].path, missing[k].fp);
+        for (const std::exception_ptr& error : errors)
+          if (error) std::rethrow_exception(error);
       }
     }
   }

@@ -1,5 +1,7 @@
 #include "data/point_set.hpp"
 
+#include <algorithm>
+
 namespace eth {
 
 AABB PointSet::bounds() const {
@@ -15,21 +17,37 @@ void PointSet::resize(Index n) {
 }
 
 PointSet PointSet::subset(std::span<const Index> keep) const {
+  const Index n = num_points();
+  require(std::all_of(keep.begin(), keep.end(), [n](Index i) { return i >= 0 && i < n; }),
+          "PointSet::subset: index out of range");
   PointSet out(static_cast<Index>(keep.size()));
-  for (std::size_t f = 0; f < point_fields().size(); ++f) {
-    const Field& src = point_fields().at(f);
-    out.point_fields().add(
+  const std::span<const Vec3f> src_pos = positions();
+  const std::span<Vec3f> dst_pos = out.positions();
+  for (std::size_t k = 0; k < keep.size(); ++k)
+    dst_pos[k] = src_pos[static_cast<std::size_t>(keep[k])];
+  for (const Field& src : point_fields()) {
+    Field& dst = out.point_fields().add(
         Field(src.name(), out.num_points(), src.components(), src.association()));
-  }
-  for (std::size_t k = 0; k < keep.size(); ++k) {
-    const Index src_idx = keep[k];
-    require(src_idx >= 0 && src_idx < num_points(), "PointSet::subset: index out of range");
-    out.set_position(static_cast<Index>(k), position(src_idx));
-    for (std::size_t f = 0; f < point_fields().size(); ++f) {
-      const Field& src = point_fields().at(f);
-      Field& dst = out.point_fields().at(f);
-      for (int c = 0; c < src.components(); ++c)
-        dst.set(static_cast<Index>(k), c, src.get(src_idx, c));
+    const Real* from = src.values().data();
+    Real* to = dst.values().data();
+    // Scalars and 3-vectors (ids, velocities, speeds) get fixed-width
+    // copies; a per-tuple copy call would dominate the gather.
+    switch (const auto comps = static_cast<std::size_t>(src.components()); comps) {
+    case 1:
+      for (std::size_t k = 0; k < keep.size(); ++k) to[k] = from[keep[k]];
+      break;
+    case 3:
+      for (std::size_t k = 0; k < keep.size(); ++k) {
+        const Real* tuple = from + 3 * static_cast<std::size_t>(keep[k]);
+        to[3 * k] = tuple[0];
+        to[3 * k + 1] = tuple[1];
+        to[3 * k + 2] = tuple[2];
+      }
+      break;
+    default:
+      for (std::size_t k = 0; k < keep.size(); ++k)
+        for (std::size_t c = 0; c < comps; ++c)
+          to[k * comps + c] = from[static_cast<std::size_t>(keep[k]) * comps + c];
     }
   }
   return out;

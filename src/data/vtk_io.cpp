@@ -51,12 +51,15 @@ DataSetKind kind_from_name(std::string_view name, const std::string& path) {
 } // namespace
 
 void write_dataset(const DataSet& ds, const std::string& path) {
-  const std::vector<std::uint8_t> payload = serialize_dataset(ds);
+  // The payload streams straight from the dataset's arrays: the
+  // scatter-gather message borrows them, so no contiguous copy exists.
+  const WireMessage payload = wire_message_for_dataset(ds);
   FilePtr f = open_file(path, "wb");
   std::fprintf(f.get(), "%s\nkind %s\nbytes %zu\n", kMagicLine, to_string(ds.kind()),
-               payload.size());
-  require(std::fwrite(payload.data(), 1, payload.size(), f.get()) == payload.size(),
-          "short write to '" + path + "'");
+               payload.total_bytes());
+  for (const WireMessage::Segment& seg : payload.segments())
+    require(std::fwrite(seg.bytes.data(), 1, seg.bytes.size(), f.get()) == seg.bytes.size(),
+            "short write to '" + path + "'");
 }
 
 std::unique_ptr<DataSet> read_dataset(const std::string& path) {

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <exception>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/run_counters.hpp"
@@ -131,57 +132,71 @@ double KernelTimer::elapsed() const {
   return (ThreadCpuTimer::now() - cpu_start_) + (t_borrowed_cpu - borrowed_start_);
 }
 
+ChunkFanout::ChunkFanout(ThreadPool& pool)
+    : pool_(pool),
+      inline_(pool.size() <= 1 || pool.on_worker_thread()),
+      // Worker-executed chunks attribute to the ISSUING thread's trace
+      // track, exactly as their CPU time credits its borrowed-CPU
+      // accumulator: a chunk rendered by a pool worker belongs on the
+      // issuing rank's timeline. The issuing run's counter sink
+      // propagates the same way, so data-plane bytes moved inside a
+      // worker chunk are charged to the run that issued the loop, not
+      // to whichever run's rank happens to share the pool.
+      issuing_track_(trace::current_track()),
+      issuing_sink_(current_run_sink()) {}
+
+ChunkFanout::~ChunkFanout() { wait_pending(); }
+
+void ChunkFanout::submit(Index chunk, std::function<void()> fn) {
+  if (inline_) {
+    fn();
+    return;
+  }
+  // Only this (the issuing) thread increments, and every decrement
+  // happens under mutex_, so the count needs no lock here.
+  pending_.fetch_add(1, std::memory_order_relaxed);
+  pool_.submit([this, chunk, fn = std::move(fn)] {
+    const trace::TrackScope track_scope(issuing_track_);
+    const RunSinkScope sink_scope(issuing_sink_);
+    const ThreadCpuTimer chunk_timer;
+    std::exception_ptr error;
+    try {
+      fn();
+    } catch (...) {
+      error = std::current_exception();
+    }
+    const double chunk_cpu = chunk_timer.elapsed();
+    std::lock_guard<std::mutex> lock(mutex_);
+    cpu_total_ += chunk_cpu;
+    if (error && (first_error_chunk_ < 0 || chunk < first_error_chunk_)) {
+      first_error_ = error;
+      first_error_chunk_ = chunk;
+    }
+    if (pending_.fetch_sub(1, std::memory_order_relaxed) == 1) done_.notify_one();
+  });
+}
+
+void ChunkFanout::wait_pending() {
+  std::unique_lock<std::mutex> lock(mutex_);
+  done_.wait(lock, [&] { return pending_.load(std::memory_order_relaxed) == 0; });
+}
+
+void ChunkFanout::join() {
+  wait_pending();
+  t_borrowed_cpu += cpu_total_;
+  cpu_total_ = 0;
+  if (first_error_) std::rethrow_exception(std::exchange(first_error_, nullptr));
+}
+
 namespace {
 
-/// Shared fan-out/join for both loop flavors: runs `chunks` tasks on the
-/// pool, collects the lowest-index exception and the tasks' summed
-/// thread-CPU seconds, blocks until all finish, and credits the CPU
-/// seconds to the caller's borrowed-CPU accumulator. `run(c)` executes
-/// chunk c's body.
+/// Shared fan-out/join for both loop flavors: runs chunk c's body
+/// `run(c)` for every c < `chunks` on the pool and joins.
 void run_chunks_on_pool(ThreadPool& pool, Index chunks,
                         const std::function<void(Index)>& run) {
-  std::mutex done_mutex;
-  std::condition_variable done_cv;
-  Index remaining = chunks;
-  double cpu_total = 0;
-  std::exception_ptr first_error;
-  Index first_error_chunk = -1;
-  // Worker-executed chunks attribute to the ISSUING thread's trace
-  // track, exactly as their CPU time credits its borrowed-CPU
-  // accumulator: a chunk rendered by a pool worker belongs on the
-  // issuing rank's timeline. The issuing run's counter sink propagates
-  // the same way, so data-plane bytes moved inside a worker chunk are
-  // charged to the run that issued the loop, not to whichever run's
-  // rank happens to share the pool.
-  const std::int32_t issuing_track = trace::current_track();
-  RunCounterSink* issuing_sink = current_run_sink();
-  for (Index c = 0; c < chunks; ++c) {
-    pool.submit([&, c] {
-      const trace::TrackScope track_scope(issuing_track);
-      const RunSinkScope sink_scope(issuing_sink);
-      const ThreadCpuTimer chunk_timer;
-      std::exception_ptr error;
-      try {
-        run(c);
-      } catch (...) {
-        error = std::current_exception();
-      }
-      const double chunk_cpu = chunk_timer.elapsed();
-      std::lock_guard<std::mutex> lock(done_mutex);
-      cpu_total += chunk_cpu;
-      if (error && (first_error_chunk < 0 || c < first_error_chunk)) {
-        first_error = error;
-        first_error_chunk = c;
-      }
-      if (--remaining == 0) done_cv.notify_one();
-    });
-  }
-  {
-    std::unique_lock<std::mutex> lock(done_mutex);
-    done_cv.wait(lock, [&] { return remaining == 0; });
-  }
-  t_borrowed_cpu += cpu_total;
-  if (first_error) std::rethrow_exception(first_error);
+  ChunkFanout fanout(pool);
+  for (Index c = 0; c < chunks; ++c) fanout.submit(c, [&run, c] { run(c); });
+  fanout.join();
 }
 
 } // namespace

@@ -12,7 +12,10 @@
 // 1-thread run executes the exact same chunks (and the caller's merge
 // runs in the exact same order) as an N-thread run.
 
+#include <atomic>
 #include <condition_variable>
+#include <cstdint>
+#include <exception>
 #include <functional>
 #include <mutex>
 #include <queue>
@@ -22,6 +25,8 @@
 #include "common/types.hpp"
 
 namespace eth {
+
+struct RunCounterSink;
 
 class ThreadPool {
 public:
@@ -92,6 +97,43 @@ private:
   std::mutex mutex_;
   std::condition_variable done_;
   Index pending_ = 0;
+};
+
+/// Chunk fan-out whose chunks are submitted one at a time, as the
+/// issuer discovers them; parallel_for and parallel_for_chunks run on
+/// it with the whole range submitted up front. Each chunk runs on a
+/// pool worker under the issuer's trace track and run sink. join()
+/// blocks until every submitted chunk has finished, credits their
+/// thread-CPU seconds to the issuer's borrowed_cpu_seconds(), and
+/// rethrows the exception of the lowest-numbered chunk that threw. On a
+/// single-worker pool, or when issued from one of the pool's own
+/// workers, submit() runs the chunk inline and lets its exception
+/// propagate. The destructor waits for outstanding chunks, so a fan-out
+/// unwound by an exception never leaves chunks running.
+class ChunkFanout {
+public:
+  explicit ChunkFanout(ThreadPool& pool);
+  ~ChunkFanout();
+
+  ChunkFanout(const ChunkFanout&) = delete;
+  ChunkFanout& operator=(const ChunkFanout&) = delete;
+
+  void submit(Index chunk, std::function<void()> fn);
+  void join();
+
+private:
+  void wait_pending();
+
+  ThreadPool& pool_;
+  bool inline_;
+  std::int32_t issuing_track_;
+  RunCounterSink* issuing_sink_;
+  std::atomic<Index> pending_{0};
+  std::mutex mutex_; ///< guards the decrements of pending_ and the fields below
+  std::condition_variable done_;
+  double cpu_total_ = 0;
+  std::exception_ptr first_error_;
+  Index first_error_chunk_ = -1;
 };
 
 /// Worker count for default-constructed pools: ETH_THREADS when set to a

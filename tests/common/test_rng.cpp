@@ -117,6 +117,38 @@ TEST(Rng, PointInBoxStaysInBox) {
   }
 }
 
+TEST(Rng, SkipMatchesDraws) {
+  // Each skip helper must leave the generator where the real draws
+  // leave it: same next outputs, same Box-Muller cache parity.
+  const auto expect_same_state = [](Rng a, Rng b) {
+    EXPECT_EQ(a.normal_cached(), b.normal_cached());
+    for (int i = 0; i < 4; ++i) EXPECT_EQ(a.next_u64(), b.next_u64());
+  };
+  for (const std::uint64_t seed : {1ull, 7919ull, 99ull}) {
+    SCOPED_TRACE(seed);
+    Rng drawn(seed), skipped(seed);
+    drawn.uniform();
+    drawn.unit_vector();
+    drawn.point_in_box({0, 0, 0}, {1, 1, 1});
+    skipped.skip(1 + Rng::kUnitVectorDraws + Rng::kPointInBoxDraws);
+    expect_same_state(drawn, skipped);
+
+    // Cache empty before: the skip draws a pair and caches.
+    ASSERT_FALSE(drawn.normal_cached());
+    drawn.normal();
+    skipped.skip_normal();
+    ASSERT_TRUE(drawn.normal_cached());
+    expect_same_state(drawn, skipped);
+    // Cache full before: the skip consumes the cached variate only.
+    drawn.normal();
+    skipped.skip_normal();
+    ASSERT_FALSE(drawn.normal_cached());
+    expect_same_state(drawn, skipped);
+    // Back at an empty cache, the resumed stream is exact.
+    for (int i = 0; i < 5; ++i) EXPECT_EQ(drawn.normal(), skipped.normal());
+  }
+}
+
 TEST(Rng, DeriveSeedGivesDistinctStreams) {
   std::set<std::uint64_t> seeds;
   for (std::uint64_t stream = 0; stream < 1000; ++stream)

@@ -53,6 +53,26 @@ TEST(PointSet, SubsetCarriesFields) {
   EXPECT_EQ(sub.point_fields().get("id").get(1), 10);
 }
 
+TEST(PointSet, SubsetGathersMultiComponentFieldsInKeepOrder) {
+  PointSet ps = make_points();
+  Field vel("velocity", 3, 3);
+  for (Index i = 0; i < 3; ++i) vel.set_vec3(i, {Real(i), Real(10 + i), Real(20 + i)});
+  ps.point_fields().add(std::move(vel));
+  const std::vector<Index> keep{1, 1, 2};
+  const PointSet sub = ps.subset(keep);
+  ASSERT_EQ(sub.num_points(), 3);
+  ASSERT_EQ(sub.point_fields().size(), 2u);
+  EXPECT_EQ(sub.point_fields().at(0).name(), "id");
+  EXPECT_EQ(sub.point_fields().at(1).name(), "velocity");
+  const Field& got = sub.point_fields().get("velocity");
+  EXPECT_EQ(got.components(), 3);
+  EXPECT_EQ(got.get_vec3(0), (Vec3f{1, 11, 21}));
+  EXPECT_EQ(got.get_vec3(1), (Vec3f{1, 11, 21}));
+  EXPECT_EQ(got.get_vec3(2), (Vec3f{2, 12, 22}));
+  EXPECT_EQ(sub.position(2), (Vec3f{-1, -2, -3}));
+  EXPECT_EQ(ps.subset(std::vector<Index>{}).num_points(), 0);
+}
+
 TEST(PointSet, SubsetRejectsOutOfRange) {
   const PointSet ps = make_points();
   const std::vector<Index> bad{0, 3};

@@ -201,6 +201,52 @@ TEST(BorrowedCpu, WorkerChunksAreCreditedToTheCaller) {
   EXPECT_GE(timer.elapsed(), borrowed_cpu_seconds() - before);
 }
 
+// ChunkFanout takes chunks one at a time while the issuer keeps
+// working between submissions, and joins like the parallel loops:
+// every chunk done, lent CPU credited, lowest chunk's exception first.
+TEST(ChunkFanout, IncrementalChunksJoinCreditAndRethrowLowest) {
+  ThreadPool pool(4);
+  std::vector<double> out(64, 0.0);
+  const double before = borrowed_cpu_seconds();
+  {
+    ChunkFanout fanout(pool);
+    for (Index c = 0; c < 64; ++c)
+      fanout.submit(c, [&out, c] {
+        double local = 0;
+        for (int i = 0; i < 20'000; ++i) local += double(i) * 1e-9;
+        out[static_cast<std::size_t>(c)] = local + double(c);
+      });
+    fanout.join();
+  }
+  for (std::size_t c = 0; c < out.size(); ++c) EXPECT_GT(out[c], double(c));
+  EXPECT_GT(borrowed_cpu_seconds(), before);
+
+  ChunkFanout failing(pool);
+  for (Index c = 0; c < 16; ++c)
+    failing.submit(c, [c] {
+      if (c % 4 == 3) throw std::runtime_error("chunk " + std::to_string(c));
+    });
+  try {
+    failing.join();
+    FAIL() << "expected an exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "chunk 3");
+  }
+}
+
+TEST(ChunkFanout, SingleWorkerPoolRunsChunksInlineInOrder) {
+  ThreadPool pool(1);
+  std::vector<Index> order;
+  ChunkFanout fanout(pool);
+  for (Index c = 0; c < 5; ++c) {
+    fanout.submit(c, [&order, c] { order.push_back(c); });
+    EXPECT_EQ(order.size(), static_cast<std::size_t>(c + 1)) << "chunk ran late";
+  }
+  fanout.join();
+  EXPECT_THROW(fanout.submit(5, [] { throw std::runtime_error("inline"); }),
+               std::runtime_error);
+}
+
 // TaskGroup is the per-issuer join primitive: wait() must return once
 // the group's OWN tasks finish, even while unrelated tasks (another
 // concurrent harness run's work) still occupy the pool — the exact
