@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "common/knobs.hpp"
 #include "common/rng.hpp"
 #include "common/timer.hpp"
 #include "data/point_set.hpp"
@@ -98,7 +99,7 @@ int main() {
   using namespace eth;
   using namespace eth::bench;
 
-  const unsigned hw = default_thread_count();
+  const auto hw = static_cast<unsigned>(knobs::value(knobs::Knob::threads));
   print_header("bench_parallel_render", "the tentpole threading work",
                "Wall-clock speedup of the hot render kernels, 1 worker vs N.");
   std::printf("host threads (ETH_THREADS or hardware): %u\n", hw);

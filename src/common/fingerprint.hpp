@@ -44,6 +44,7 @@ public:
   }
 
   void update(const void* data, std::size_t len) {
+    if (len == 0) return; // `data` may be null (an empty span)
     const auto* p = static_cast<const std::uint8_t*>(data);
     total_ += len;
     if (buffered_ + len < kStripe) { // stays below a full stripe

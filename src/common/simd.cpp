@@ -1,94 +1,61 @@
 #include "common/simd.hpp"
 
 #include <atomic>
-#include <cstdlib>
 #include <mutex>
 
 #include "common/error.hpp"
+#include "common/knobs.hpp"
 #include "common/simd_kernels.hpp"
 
 namespace eth::simd {
 namespace {
 
-std::atomic<int> g_isa{-1}; // -1 = unresolved; else int(Isa)
-std::atomic<const KernelTable*> g_table{nullptr};
+// Published dispatch table: kUnresolved until first use, nullptr for
+// scalar, else the vector table. Stores happen under g_mutex.
+const KernelTable kUnresolved{};
+std::atomic<const KernelTable*> g_table{&kUnresolved};
 std::mutex g_mutex;
 
-bool cpu_has_avx2() {
+bool avx2_available() {
 #if defined(__x86_64__) || defined(__i386__)
-  return __builtin_cpu_supports("avx2") != 0;
+  return kernels_w8() != nullptr && __builtin_cpu_supports("avx2") != 0;
 #else
   return false;
 #endif
 }
 
-bool avx2_available() { return kernels_w8() != nullptr && cpu_has_avx2(); }
-
-Isa parse_isa(const std::string& name, const char* who) {
-  if (name == "scalar") return Isa::kScalar;
-  if (name == "sse2") return Isa::kSse2;
-  if (name == "avx2") {
-    require(avx2_available(),
-            std::string(who) + "=avx2 requested but this build/CPU has no AVX2 "
-                               "(use scalar, sse2 or native)");
-    return Isa::kAvx2;
-  }
-  if (name == "native") return avx2_available() ? Isa::kAvx2 : Isa::kSse2;
-  fail(std::string(who) + ": unknown SIMD ISA '" + name +
-       "' (expected scalar|sse2|avx2|native)");
-}
-
-// Publish table first, then the isa guard with release ordering so a
-// reader that observes the resolved isa also observes its table.
-void apply(Isa isa) {
-  const KernelTable* table = nullptr;
-  if (isa == Isa::kAvx2)
-    table = kernels_w8();
-  else if (isa == Isa::kSse2)
-    table = kernels_w4();
-  g_table.store(table, std::memory_order_relaxed);
-  g_isa.store(static_cast<int>(isa), std::memory_order_release);
-}
-
-void resolve_from_env() {
-  const char* env = std::getenv("ETH_SIMD");
-  apply(parse_isa(env != nullptr && env[0] != '\0' ? env : "native", "ETH_SIMD"));
-}
-
-ETH_SIMD_INLINE Isa ensure_resolved() {
-  int isa = g_isa.load(std::memory_order_acquire);
-  if (isa < 0) {
-    std::lock_guard<std::mutex> lock(g_mutex);
-    isa = g_isa.load(std::memory_order_acquire);
-    if (isa < 0) {
-      resolve_from_env();
-      isa = g_isa.load(std::memory_order_acquire);
-    }
-  }
-  return static_cast<Isa>(isa);
+// The table for an ETH_SIMD choice index (scalar|sse2|avx2|native).
+const KernelTable* table_for(std::int64_t choice) {
+  if (choice == 3) return avx2_available() ? kernels_w8() : kernels_w4();
+  require(choice != 2 || avx2_available(),
+          "ETH_SIMD=avx2 requested but this build/CPU has no AVX2 (use sse2 or native)");
+  return choice == 0 ? nullptr : choice == 1 ? kernels_w4() : kernels_w8();
 }
 
 } // namespace
 
-Isa resolved_isa() { return ensure_resolved(); }
-
 void set_isa_override(const char* name) {
+  if (name != nullptr && name[0] != '\0')
+    table_for(knobs::parse(knobs::Knob::simd, name, "ETH_SIMD override"));
   std::lock_guard<std::mutex> lock(g_mutex);
-  if (name == nullptr || name[0] == '\0')
-    resolve_from_env();
-  else
-    apply(parse_isa(name, "simd override"));
+  knobs::set_override(knobs::Knob::simd, name);
+  g_table.store(table_for(knobs::value(knobs::Knob::simd)), std::memory_order_release);
 }
 
 const KernelTable* active_kernels() {
-  ensure_resolved();
-  return g_table.load(std::memory_order_relaxed);
+  const KernelTable* table = g_table.load(std::memory_order_acquire);
+  if (table != &kUnresolved) return table;
+  std::lock_guard<std::mutex> lock(g_mutex);
+  table = g_table.load(std::memory_order_relaxed);
+  if (table == &kUnresolved) {
+    table = table_for(knobs::value(knobs::Knob::simd));
+    g_table.store(table, std::memory_order_release);
+  }
+  return table;
 }
 
 std::string isa_label() {
-  const Isa isa = ensure_resolved();
-  if (isa == Isa::kScalar) return "scalar";
-  const KernelTable* table = g_table.load(std::memory_order_relaxed);
+  const KernelTable* table = active_kernels();
   return table != nullptr ? table->name : "scalar";
 }
 

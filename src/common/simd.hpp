@@ -690,19 +690,10 @@ ETH_SIMD_INLINE pack<float, 8> to_float(pack<std::int32_t, 8> a) {
 // Runtime ISA resolution (ETH_SIMD env override; simd.cpp)
 // ------------------------------------------------------------------
 
-/// The dispatched instruction set. kSse2/kAvx2 name the x86 tiers; on
-/// non-x86 builds kSse2 selects the 4-wide table (NEON or the generic
-/// reference loops) and kAvx2 is unavailable.
-enum class Isa { kScalar = 0, kSse2 = 1, kAvx2 = 2 };
-
-/// The active ISA: ETH_SIMD=scalar|sse2|avx2|native (default native =
-/// widest tier this build + CPU supports). An explicit request for an
-/// unavailable tier or an unknown value fails loudly (eth::Error), like
-/// every other spec knob. Cached after the first call.
-Isa resolved_isa();
-
-/// Test/bench override: name as in ETH_SIMD, nullptr or "" returns to
-/// env resolution. Takes effect immediately for subsequent kernels.
+/// The active ISA is the ETH_SIMD knob (common/knobs.hpp): native is
+/// the widest tier this build + CPU supports; an unavailable tier is an
+/// eth::Error. Test/bench override: name as in ETH_SIMD, nullptr or ""
+/// returns to env resolution. Not while kernels run.
 void set_isa_override(const char* name);
 
 /// Short label for traces, CSVs and --dry-run output: "scalar",

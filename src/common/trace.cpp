@@ -4,31 +4,23 @@
 #include <array>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/knobs.hpp"
 #include "common/simd.hpp"
 
 namespace eth::trace {
 
 namespace detail {
-std::atomic<bool> g_enabled{[] {
-  const char* env = std::getenv("ETH_TRACE");
-  return env != nullptr && env[0] != '\0';
-}()};
+std::atomic<bool> g_enabled{knobs::value(knobs::Knob::trace) != 0};
 } // namespace detail
 
 void set_enabled(bool on) {
   detail::g_enabled.store(on, std::memory_order_relaxed);
-}
-
-std::string env_trace_path() {
-  const char* env = std::getenv("ETH_TRACE");
-  return env != nullptr ? std::string(env) : std::string();
 }
 
 std::int64_t now_ns() {

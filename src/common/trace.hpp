@@ -55,11 +55,8 @@ inline bool enabled() {
 }
 
 /// Turn tracing on/off (tests, eth_explore). The initial value is
-/// "ETH_TRACE is set and non-empty".
+/// "the ETH_TRACE knob names an output path".
 void set_enabled(bool on);
-
-/// Value of ETH_TRACE (the trace output path), or "" when unset.
-std::string env_trace_path();
 
 // ------------------------------------------------------------- events
 

@@ -325,14 +325,8 @@ private:
   std::unordered_map<std::string, std::uint64_t> dumps_;
 };
 
-/// The ETH_CACHE_BYTES budget for `value`: a plain decimal byte count
-/// ("0" disables memoization). Unset, empty or malformed values fall
-/// back to the 512 MiB default — "512MiB" is rejected whole, never read
-/// as a 512-byte budget.
-Bytes parse_cache_budget(const char* value);
-
 /// The process-wide cache the harness and sweeps share, budgeted by
-/// parse_cache_budget(ETH_CACHE_BYTES); a zero budget disables
+/// the ETH_CACHE_BYTES knob (common/knobs.hpp); a zero budget disables
 /// memoization entirely (the escape hatch — every producer runs every
 /// time, exactly the pre-cache behavior).
 ArtifactCache& global_artifact_cache();

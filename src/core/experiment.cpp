@@ -1,6 +1,5 @@
 #include "core/experiment.hpp"
 
-#include <cstdlib>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -8,33 +7,24 @@
 
 namespace eth {
 
-namespace {
-
-/// Hard ceiling on timesteps in flight: beyond this a "deeper"
-/// pipeline only holds more datasets live without any further overlap
-/// (the viz chain is serial), so large values are a configuration bug.
-constexpr int kMaxPipelineDepth = 32;
-
-} // namespace
-
 const char* to_string(Application app) {
   return app == Application::kHacc ? "hacc" : "xrage";
 }
 
+std::string ExperimentSpec::knob_setting(knobs::Knob knob) const {
+  if (knob == knobs::Knob::pipeline_depth && pipeline_depth != 0)
+    return std::to_string(pipeline_depth);
+  return knob == knobs::Knob::wire_codec ? transport_codec : std::string();
+}
+
 int ExperimentSpec::resolved_pipeline_depth() const {
-  if (pipeline_depth > 0) return pipeline_depth;
-  if (const char* env = std::getenv("ETH_PIPELINE_DEPTH")) {
-    char* end = nullptr;
-    const long n = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && n >= 1 && n <= kMaxPipelineDepth)
-      return static_cast<int>(n);
-  }
-  return 1;
+  const auto knob = knobs::Knob::pipeline_depth;
+  return static_cast<int>(knobs::resolve(knob, knob_setting(knob)).value);
 }
 
 insitu::WireCodec ExperimentSpec::resolved_transport_codec() const {
-  if (!transport_codec.empty()) return insitu::codec_from_string(transport_codec);
-  return insitu::resolved_wire_codec();
+  const auto knob = knobs::Knob::wire_codec;
+  return static_cast<insitu::WireCodec>(knobs::resolve(knob, knob_setting(knob)).value);
 }
 
 void ExperimentSpec::validate() const {
@@ -56,10 +46,6 @@ void ExperimentSpec::validate() const {
   require(transport_quantization_bits == 0 ||
               (transport_quantization_bits >= 1 && transport_quantization_bits <= 24),
           "ExperimentSpec: quantization bits must be 0 (off) or in [1, 24]");
-  require(transport_codec.empty() || transport_codec == "none" ||
-              transport_codec == "lz4",
-          "ExperimentSpec: transport_codec must be \"\" (resolve from "
-          "ETH_WIRE_CODEC), \"none\" or \"lz4\"");
   if (use_disk_proxy)
     require(!proxy_dir.empty(), "ExperimentSpec: disk proxy needs proxy_dir");
   for (const double p : {fault.p_connect_refused, fault.p_recv_timeout,
@@ -71,9 +57,8 @@ void ExperimentSpec::validate() const {
           "ExperimentSpec: transfer retry budget must be >= 1 attempt");
   require(transfer_retry.recv_deadline_seconds > 0,
           "ExperimentSpec: transfer recv deadline must be positive");
-  require(pipeline_depth >= 0 && pipeline_depth <= kMaxPipelineDepth,
-          strprintf("ExperimentSpec: pipeline_depth must be 0 (auto) or in [1, %d]",
-                    kMaxPipelineDepth));
+  for (const knobs::KnobInfo& knob : knobs::kKnobs) // spec keys parse like their knobs
+    if (!knob_setting(knob.knob).empty()) knobs::resolve(knob.knob, knob_setting(knob.knob));
 }
 
 std::string spec_summary(const ExperimentSpec& spec) {
@@ -95,8 +80,7 @@ std::string spec_summary(const ExperimentSpec& spec) {
      << spec.viz.image_width << 'x' << spec.viz.image_height << '\n';
   os << "coupling        " << cluster::to_string(spec.layout.coupling) << '\n';
   if (spec.layout.coupling == cluster::Coupling::kAsync)
-    os << "pipeline_depth  " << spec.resolved_pipeline_depth()
-       << (spec.pipeline_depth > 0 ? "" : " (resolved)") << '\n';
+    os << "pipeline_depth  " << spec.resolved_pipeline_depth() << '\n';
   os << "nodes           " << spec.layout.nodes << '\n';
   os << "ranks           " << spec.layout.ranks << '\n';
   if (spec.layout.coupling == cluster::Coupling::kInternode)
@@ -104,8 +88,7 @@ std::string spec_summary(const ExperimentSpec& spec) {
   if (spec.transport_quantization_bits > 0)
     os << "quantization    " << spec.transport_quantization_bits << " bits\n";
   if (spec.resolved_transport_codec() != insitu::WireCodec::kNone)
-    os << "transport_codec " << insitu::to_string(spec.resolved_transport_codec())
-       << (spec.transport_codec.empty() ? " (resolved)" : "") << '\n';
+    os << "transport_codec " << insitu::to_string(spec.resolved_transport_codec()) << '\n';
   os << "data_scale      " << spec.data_scale << '\n';
   os << "pixel_scale     " << spec.pixel_scale << '\n';
   if (spec.fault.any()) {

@@ -16,6 +16,7 @@
 #include "cluster/job.hpp"
 #include "cluster/machine.hpp"
 #include "cluster/timeline.hpp"
+#include "common/knobs.hpp"
 #include "data/image.hpp"
 #include "insitu/fault.hpp"
 #include "insitu/viz.hpp"
@@ -60,8 +61,8 @@ struct ExperimentSpec {
   int transport_quantization_bits = 0;
 
   /// Lossless wire compression for the coupling hand-off (DESIGN.md
-  /// §15): "" (the default) resolves from ETH_WIRE_CODEC, falling back
-  /// to "none"; "none" and "lz4" pin the codec explicitly. Composes
+  /// §15): "" (the default) resolves the ETH_WIRE_CODEC knob; "none"
+  /// and "lz4" pin the codec explicitly. Composes
   /// with quantization (the quantized payload is what gets framed).
   /// Decompressed payloads are bit-identical, so images and the fault/
   /// retry robustness counts do not depend on the codec; what does is
@@ -70,22 +71,23 @@ struct ExperimentSpec {
   /// an owned buffer instead of borrowing the wire frame zero-copy).
   std::string transport_codec;
 
-  /// The wire codec Harness::run will actually use: `transport_codec`
-  /// when set, else ETH_WIRE_CODEC, else none.
+  /// The wire codec Harness::run will actually use (spec > knob).
   insitu::WireCodec resolved_transport_codec() const;
 
   /// Timestep pipeline depth for `coupling async` (DESIGN.md §13): the
   /// number of timesteps allowed in flight at once — 1 runs the serial
   /// loop, 2 double-buffers (the sim proxy produces t+1 while the viz
-  /// proxy renders t). 0 (the default) resolves from ETH_PIPELINE_DEPTH,
-  /// falling back to 1. Ignored by the synchronous couplings. Images,
+  /// proxy renders t). 0 (the default) resolves the ETH_PIPELINE_DEPTH
+  /// knob. Ignored by the synchronous couplings. Images,
   /// counters and robustness tables are bit-identical at every depth;
   /// only the modelled makespan/power/energy change.
   int pipeline_depth = 0;
 
-  /// The depth Harness::run will actually use: `pipeline_depth` when
-  /// set, else ETH_PIPELINE_DEPTH, else 1.
+  /// The depth Harness::run will actually use (spec > knob).
   int resolved_pipeline_depth() const;
+
+  /// This spec's value for a knob's spec key ("" = not set).
+  std::string knob_setting(knobs::Knob knob) const;
 
   /// Seeded transport fault injection (DESIGN.md §8). All-zero
   /// probabilities (the default) run the coupling unperturbed; any

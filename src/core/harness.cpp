@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <cstring>
 #include <numeric>
-#include <cstdlib>
 #include <exception>
 #include <filesystem>
 #include <type_traits>
@@ -12,6 +11,7 @@
 #include "common/buffer.hpp"
 #include "common/error.hpp"
 #include "common/fingerprint.hpp"
+#include "common/knobs.hpp"
 #include "common/run_counters.hpp"
 #include "common/string_util.hpp"
 #include "common/timer.hpp"
@@ -191,8 +191,8 @@ RunResult Harness::run(const ExperimentSpec& spec, const RunContext& ctx) const 
   const int P_sim = spec.layout.sim_nodes();
   const int P_viz = spec.layout.viz_node_count();
   const bool internode = spec.layout.coupling == cluster::Coupling::kInternode;
-  // Resolve the wire codec once per run (spec field > ETH_WIRE_CODEC >
-  // none) so every rank/timestep frames with the same codec.
+  // Resolve the wire codec once per run so every rank/timestep frames
+  // with the same codec.
   const insitu::WireCodec wire_codec = spec.resolved_transport_codec();
   const Camera base_camera = global_camera(spec);
 
@@ -727,7 +727,7 @@ RunResult Harness::run(const ExperimentSpec& spec, const RunContext& ctx) const 
 
   const core::NodePhaseTimes times =
       core::reduce_reports(reports, spec.machine, options_);
-  if (std::getenv("ETH_MODEL_DEBUG") != nullptr) {
+  if (knobs::value(knobs::Knob::model_debug) != 0) {
     std::fprintf(stderr,
                  "[eth model] %s: gen=%.4fs(u=%.2f) viz=%.4fs(u=%.2f) "
                  "comp=%.4fs write=%.4fs data=%s image=%s\n",

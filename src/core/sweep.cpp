@@ -2,19 +2,17 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <exception>
 #include <mutex>
 #include <optional>
 #include <thread>
 
+#include "common/knobs.hpp"
 #include "common/trace.hpp"
 
 namespace eth {
 
 namespace {
-
-std::atomic<int> g_sweep_worker_override{0};
 
 /// Per-point RunContext: the trace track base is a pure function of
 /// the SUBMISSION index, so the trace histogram of a sweep does not
@@ -28,22 +26,11 @@ RunContext context_for(std::size_t point_index) {
 
 } // namespace
 
-int sweep_worker_count() {
-  const int override_workers =
-      g_sweep_worker_override.load(std::memory_order_relaxed);
-  if (override_workers > 0) return override_workers;
-  if (const char* env = std::getenv("ETH_SWEEP_WORKERS")) {
-    char* end = nullptr;
-    const long n = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && n > 0 && n <= 256)
-      return static_cast<int>(n);
-  }
-  return 1;
-}
+int sweep_worker_count() { return static_cast<int>(knobs::value(knobs::Knob::sweep_workers)); }
 
 void set_sweep_worker_override(int workers) {
-  g_sweep_worker_override.store(workers > 0 ? workers : 0,
-                                std::memory_order_relaxed);
+  knobs::set_override(knobs::Knob::sweep_workers,
+                      workers > 0 ? std::to_string(workers).c_str() : nullptr);
 }
 
 std::vector<SweepOutcome> run_sweep(

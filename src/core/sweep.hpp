@@ -24,14 +24,11 @@ struct SweepOutcome {
 };
 
 /// Sweep concurrency (DESIGN.md §12): number of sweep points run_sweep
-/// executes concurrently. Resolution order: set_sweep_worker_override
-/// (tests, eth_explore --workers) wins, else the ETH_SWEEP_WORKERS
-/// environment variable (positive integer, capped at 256), else 1 —
-/// the historical serial sweep.
+/// executes concurrently: the ETH_SWEEP_WORKERS knob (default 1, the
+/// historical serial sweep).
 int sweep_worker_count();
 
-/// Override sweep_worker_count() process-wide; pass 0 to drop the
-/// override and fall back to the environment.
+/// Pin sweep_worker_count() (tests, --workers); 0 drops the pin.
 void set_sweep_worker_override(int workers);
 
 /// Run every point and return outcomes in SUBMISSION ORDER.

@@ -1,15 +1,14 @@
 #include "insitu/transport.hpp"
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <mutex>
 
 #include "common/crc32.hpp"
 #include "common/error.hpp"
+#include "common/knobs.hpp"
 #include "common/lz.hpp"
 #include "common/string_util.hpp"
 #include "common/timer.hpp"
@@ -19,62 +18,14 @@
 namespace eth::insitu {
 
 // -------------------------------------------------- wire codec default
-// Mirrors the ETH_SIMD resolution in common/simd.cpp: the process
-// default is resolved once from the environment on first use, cached in
-// an atomic, and re-pinnable through the override hook (tests, tools).
 
 const char* to_string(WireCodec codec) {
-  return codec == WireCodec::kLz4 ? "lz4" : "none";
+  return knobs::info(knobs::Knob::wire_codec).form.names[static_cast<int>(codec)];
 }
 
-WireCodec codec_from_string(const std::string& name) {
-  if (name == "none") return WireCodec::kNone;
-  if (name == "lz4") return WireCodec::kLz4;
-  fail(strprintf("unknown wire codec '%s' (valid: none, lz4)", name.c_str()));
-}
+WireCodec resolved_wire_codec() { return WireCodec(knobs::value(knobs::Knob::wire_codec)); }
 
-namespace {
-
-std::atomic<int> g_codec{-1}; // -1 = unresolved
-std::mutex g_codec_mutex;
-
-void apply_codec(WireCodec codec) {
-  g_codec.store(static_cast<int>(codec), std::memory_order_release);
-}
-
-void resolve_codec_from_env() {
-  const char* env = std::getenv("ETH_WIRE_CODEC");
-  apply_codec((env != nullptr && *env != '\0') ? codec_from_string(env)
-                                               : WireCodec::kNone);
-}
-
-WireCodec ensure_codec_resolved() {
-  int v = g_codec.load(std::memory_order_acquire);
-  if (v < 0) {
-    std::lock_guard<std::mutex> lock(g_codec_mutex);
-    v = g_codec.load(std::memory_order_acquire);
-    if (v < 0) {
-      resolve_codec_from_env();
-      v = g_codec.load(std::memory_order_acquire);
-    }
-  }
-  return static_cast<WireCodec>(v);
-}
-
-} // namespace
-
-WireCodec resolved_wire_codec() { return ensure_codec_resolved(); }
-
-void set_wire_codec_override(const char* name) {
-  std::lock_guard<std::mutex> lock(g_codec_mutex);
-  if (name == nullptr) {
-    resolve_codec_from_env();
-  } else {
-    apply_codec(codec_from_string(name));
-  }
-}
-
-const char* wire_codec_label() { return to_string(ensure_codec_resolved()); }
+void set_wire_codec_override(const char* name) { knobs::set_override(knobs::Knob::wire_codec, name); }
 
 // ------------------------------------------------------------- framing
 

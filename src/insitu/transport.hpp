@@ -73,19 +73,11 @@ enum class WireCodec {
   kLz4,  ///< byte-shuffled LZ (common/lz.hpp) with stored fallback
 };
 
-/// "none" / "lz4". codec_from_string throws eth::Error on anything else
-/// (message lists the valid values, like simd::parse of ETH_SIMD).
+/// The ETH_WIRE_CODEC knob: its choice names, its process value and its
+/// override hook (tests; nullptr or "" drops the pin).
 const char* to_string(WireCodec codec);
-WireCodec codec_from_string(const std::string& name);
-
-/// Process default resolved once from ETH_WIRE_CODEC (unset/empty means
-/// "none"), mirroring the ETH_SIMD resolution in common/simd.
-/// `set_wire_codec_override` re-pins it (tests); passing nullptr
-/// re-resolves from the environment. `wire_codec_label` names the
-/// resolved default ("none"/"lz4") for banners and --dry-run output.
 WireCodec resolved_wire_codec();
 void set_wire_codec_override(const char* name);
-const char* wire_codec_label();
 
 /// Throw TransportError{kMessageTooLarge} when a length prefix exceeds
 /// kMaxMessageBytes (lengths equal to the limit are accepted).

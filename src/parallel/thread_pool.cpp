@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <exception>
 #include <utility>
 
 #include "common/error.hpp"
+#include "common/knobs.hpp"
 #include "common/run_counters.hpp"
 #include "common/timer.hpp"
 #include "common/trace.hpp"
@@ -28,7 +28,7 @@ thread_local double t_borrowed_cpu = 0;
 } // namespace
 
 ThreadPool::ThreadPool(unsigned threads) {
-  if (threads == 0) threads = default_thread_count();
+  if (threads == 0) threads = static_cast<unsigned>(knobs::value(knobs::Knob::threads));
   workers_.reserve(threads);
   for (unsigned i = 0; i < threads; ++i)
     workers_.emplace_back([this] {
@@ -98,16 +98,6 @@ void ThreadPool::worker_loop() {
   }
 }
 
-unsigned default_thread_count() {
-  if (const char* env = std::getenv("ETH_THREADS")) {
-    char* end = nullptr;
-    const long n = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && n > 0 && n <= 4096)
-      return static_cast<unsigned>(n);
-  }
-  return std::max(1u, std::thread::hardware_concurrency());
-}
-
 namespace {
 std::atomic<ThreadPool*> g_pool_override{nullptr};
 } // namespace
@@ -120,6 +110,8 @@ ThreadPool& global_pool() {
 }
 
 void set_global_pool(ThreadPool* pool) {
+  knobs::set_override(knobs::Knob::threads,
+                      pool != nullptr ? std::to_string(pool->size()).c_str() : nullptr);
   g_pool_override.store(pool, std::memory_order_release);
 }
 

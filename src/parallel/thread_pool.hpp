@@ -30,7 +30,7 @@ struct RunCounterSink;
 
 class ThreadPool {
 public:
-  /// `threads` == 0 selects default_thread_count().
+  /// `threads` == 0 selects the ETH_THREADS knob (common/knobs.hpp).
   explicit ThreadPool(unsigned threads = 0);
   ~ThreadPool();
 
@@ -136,10 +136,6 @@ private:
   Index first_error_chunk_ = -1;
 };
 
-/// Worker count for default-constructed pools: ETH_THREADS when set to a
-/// positive integer, else std::thread::hardware_concurrency().
-unsigned default_thread_count();
-
 /// CPU seconds executed on pool workers ON BEHALF OF the calling thread,
 /// accumulated monotonically since thread start. The parallel loops add
 /// every worker-executed chunk's thread-CPU seconds here at the join
@@ -167,8 +163,8 @@ ThreadPool& global_pool();
 
 /// Replace the pool returned by global_pool() (tests and thread-count
 /// sweeps; bench_parallel_render uses it to compare 1 vs N workers).
-/// Pass nullptr to restore the default pool. Must not be called while
-/// any parallel loop is in flight.
+/// Pass nullptr to restore the default pool. Pins ETH_THREADS to the
+/// pool's size. Must not be called while any parallel loop is in flight.
 void set_global_pool(ThreadPool* pool);
 
 /// Chunked parallel loop over [begin, end). `fn(chunk_begin, chunk_end)`

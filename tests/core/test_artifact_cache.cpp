@@ -13,6 +13,11 @@
 #include <thread>
 #include <vector>
 
+#include "common/error.hpp"
+#include "common/knobs.hpp"
+
+#include "../knob_env_guard.hpp"
+
 namespace eth {
 namespace {
 
@@ -308,13 +313,20 @@ TEST(GlobalArtifactCache, DefaultsOnWithDocumentedBudget) {
 }
 
 TEST(ArtifactCache, CacheBudgetParseRejectsPartialNumbers) {
+  const KnobEnvGuard env(knobs::Knob::cache_bytes);
+  const auto budget = [] { return Bytes(knobs::value(knobs::Knob::cache_bytes)); };
   const Bytes fallback = Bytes(512) << 20;
   // strtoull would read "512MiB" as 512 bytes; the whole value must parse.
-  EXPECT_EQ(parse_cache_budget("512MiB"), fallback);
-  EXPECT_EQ(parse_cache_budget(""), fallback);
-  EXPECT_EQ(parse_cache_budget(nullptr), fallback);
-  EXPECT_EQ(parse_cache_budget("0"), 0u); // memoization off
-  EXPECT_EQ(parse_cache_budget("1048576"), Bytes(1) << 20);
+  env.set("512MiB");
+  EXPECT_THROW(budget(), Error);
+  env.set("");
+  EXPECT_EQ(budget(), fallback);
+  env.set(nullptr);
+  EXPECT_EQ(budget(), fallback);
+  env.set("0"); // memoization off
+  EXPECT_EQ(budget(), 0u);
+  env.set("1048576");
+  EXPECT_EQ(budget(), Bytes(1) << 20);
 }
 
 } // namespace

@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 
 #include "common/error.hpp"
+#include "common/knobs.hpp"
+
+#include "../knob_env_guard.hpp"
 
 namespace eth {
 namespace {
@@ -90,30 +92,23 @@ TEST(ExperimentSpec, PipelineDepthBounds) {
 
 TEST(ExperimentSpec, ResolvedPipelineDepthPrefersSpecOverEnvironment) {
   ExperimentSpec spec = valid_hacc();
+  const KnobEnvGuard env(knobs::Knob::pipeline_depth);
 
-  const char* saved = std::getenv("ETH_PIPELINE_DEPTH");
-  const std::string saved_value = saved ? saved : "";
-
-  ::setenv("ETH_PIPELINE_DEPTH", "3", 1);
+  env.set("3");
   spec.pipeline_depth = 0;
   EXPECT_EQ(spec.resolved_pipeline_depth(), 3);
   spec.pipeline_depth = 2; // explicit spec value beats the environment
   EXPECT_EQ(spec.resolved_pipeline_depth(), 2);
 
-  // Malformed or out-of-range environment values fall back to 1.
+  // Malformed or out-of-range environment values throw.
   spec.pipeline_depth = 0;
-  ::setenv("ETH_PIPELINE_DEPTH", "banana", 1);
-  EXPECT_EQ(spec.resolved_pipeline_depth(), 1);
-  ::setenv("ETH_PIPELINE_DEPTH", "0", 1);
-  EXPECT_EQ(spec.resolved_pipeline_depth(), 1);
-  ::setenv("ETH_PIPELINE_DEPTH", "999", 1);
-  EXPECT_EQ(spec.resolved_pipeline_depth(), 1);
+  for (const char* bad : {"banana", "0", "999"}) {
+    env.set(bad);
+    EXPECT_THROW(spec.resolved_pipeline_depth(), Error) << bad;
+  }
 
-  ::unsetenv("ETH_PIPELINE_DEPTH");
+  env.set(nullptr);
   EXPECT_EQ(spec.resolved_pipeline_depth(), 1);
-
-  if (saved)
-    ::setenv("ETH_PIPELINE_DEPTH", saved_value.c_str(), 1);
 }
 
 TEST(SpecSummary, ListsEveryEffectiveValue) {

@@ -14,7 +14,6 @@
 
 #include <atomic>
 #include <condition_variable>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <map>
@@ -25,12 +24,15 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/knobs.hpp"
 #include "common/trace.hpp"
 #include "core/artifact_cache.hpp"
 #include "core/harness.hpp"
 #include "core/sweep.hpp"
 #include "parallel/thread_pool.hpp"
 #include "render/compositor.hpp"
+
+#include "../knob_env_guard.hpp"
 
 namespace eth {
 namespace {
@@ -253,23 +255,21 @@ TEST(SweepEquivalence, BackToBackConcurrentSweepsReproduce) {
 
 TEST(SweepScheduler, WorkerCountResolutionOrder) {
   // Override wins over the environment; the environment wins over the
-  // serial default; garbage is ignored.
-  unsetenv("ETH_SWEEP_WORKERS");
+  // serial default; garbage throws.
+  const KnobEnvGuard env(knobs::Knob::sweep_workers);
+  env.set(nullptr);
   EXPECT_EQ(sweep_worker_count(), 1);
-  setenv("ETH_SWEEP_WORKERS", "6", 1);
+  env.set("6");
   EXPECT_EQ(sweep_worker_count(), 6);
-  setenv("ETH_SWEEP_WORKERS", "not-a-number", 1);
-  EXPECT_EQ(sweep_worker_count(), 1);
-  setenv("ETH_SWEEP_WORKERS", "0", 1);
-  EXPECT_EQ(sweep_worker_count(), 1);
-  setenv("ETH_SWEEP_WORKERS", "400", 1); // over the cap
-  EXPECT_EQ(sweep_worker_count(), 1);
-  setenv("ETH_SWEEP_WORKERS", "2", 1);
+  for (const char* bad : {"not-a-number", "0", "400"}) { // 400: over the cap
+    env.set(bad);
+    EXPECT_THROW(sweep_worker_count(), Error) << bad;
+  }
+  env.set("2");
   set_sweep_worker_override(5);
   EXPECT_EQ(sweep_worker_count(), 5);
   set_sweep_worker_override(0);
   EXPECT_EQ(sweep_worker_count(), 2);
-  unsetenv("ETH_SWEEP_WORKERS");
 }
 
 TEST(SweepScheduler, OnResultFiresSeriallyInSubmissionOrder) {

@@ -6,15 +6,18 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <cstdlib>
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/knobs.hpp"
+
+#include "../knob_env_guard.hpp"
 
 namespace eth {
 namespace {
@@ -307,14 +310,24 @@ TEST(TaskGroup, WaitOnEmptyGroupReturnsAndIsRepeatable) {
 }
 
 TEST(DefaultThreadCount, HonorsEthThreadsEnv) {
-  setenv("ETH_THREADS", "3", 1);
-  EXPECT_EQ(default_thread_count(), 3u);
-  setenv("ETH_THREADS", "not-a-number", 1);
-  EXPECT_GE(default_thread_count(), 1u); // falls back to hardware
-  setenv("ETH_THREADS", "0", 1);
-  EXPECT_GE(default_thread_count(), 1u);
-  unsetenv("ETH_THREADS");
-  EXPECT_GE(default_thread_count(), 1u);
+  const KnobEnvGuard env(knobs::Knob::threads);
+  const auto threads = [] { return knobs::value(knobs::Knob::threads); };
+  env.set("3");
+  EXPECT_EQ(threads(), 3);
+  EXPECT_EQ(ThreadPool().size(), 3u); // default-constructed pools read the knob
+  for (const char* bad : {"not-a-number", "0", "four"}) {
+    env.set(bad);
+    EXPECT_THROW(threads(), Error) << bad;
+  }
+  env.set(nullptr);
+  EXPECT_EQ(threads(), std::max(1u, std::thread::hardware_concurrency()));
+  env.set("3");
+  ThreadPool pool(2);
+  set_global_pool(&pool); // the installed pool pins the knob
+  EXPECT_EQ(threads(), 2);
+  EXPECT_EQ(knobs::resolve(knobs::Knob::threads).source, knobs::Source::kOverride);
+  set_global_pool(nullptr);
+  EXPECT_EQ(threads(), 3);
 }
 
 } // namespace

@@ -138,13 +138,34 @@ ETH_THREADS="${ETH_THREADS:-4}" ETH_SWEEP_WORKERS="${ETH_SWEEP_WORKERS:-2}" \
   ctest --test-dir build-tsan --output-on-failure --no-tests=error \
   -R 'PipelineEquivalence|StagePipeline|BoundedChannel|PhaseAccounting'
 
-# Second half of the async gate, on the release build: resolve the gate
-# sweep with --dry-run (strict spec validation must accept it and print
-# the fully resolved spec), then run it with ETH_TRACE on and require
-# the pipeline's own instrumentation — `stage.queue_wait` spans and the
-# per-stage `stage.*` occupancy counters — in the exported trace.
+# Knob gate (DESIGN.md §19): --dry-run on the async gate sweep must
+# print one line per ETH_KNOBS entry with its resolved value and source
+# (the sweep's `pipeline_depth 2` shows as a spec pin), and an invalid
+# knob value must fail the run with an error naming the variable.
+echo "==== knob gate (build-release, dry run) ===="
+knob_names="$(grep -oE '"ETH_[A-Z_]+"' src/common/knobs.hpp | tr -d '"')"
+knob_lines="$(./build-release/tools/eth_explore --dry-run tools/async_gate.cfg |
+  grep -E '^  ETH_[A-Z_]+ +[^ ]+ +(spec|override|env|default)$')"
+for knob in ${knob_names}; do
+  [ "$(grep -c "^  ${knob} " <<<"${knob_lines}")" -eq 1 ] ||
+    { echo "knob gate: no single resolved line for ${knob}"; exit 1; }
+done
+[ "$(wc -l <<<"${knob_lines}")" -eq "$(wc -w <<<"${knob_names}")" ] ||
+  { echo "knob gate: knob lines do not match the table"; exit 1; }
+grep -qE '^  ETH_PIPELINE_DEPTH +2 +spec$' <<<"${knob_lines}" ||
+  { echo "knob gate: pipeline_depth spec pin not reported"; exit 1; }
+if knob_error="$(ETH_THREADS=four ./build-release/tools/eth_explore --dry-run \
+  tools/async_gate.cfg 2>&1)"; then
+  echo "knob gate: ETH_THREADS=four was accepted"; exit 1
+fi
+grep -q 'ETH_THREADS' <<<"${knob_error}" ||
+  { echo "knob gate: error does not name ETH_THREADS: ${knob_error}"; exit 1; }
+
+# Second half of the async gate, on the release build: run the gate
+# sweep with ETH_TRACE on and require the pipeline's own
+# instrumentation — `stage.queue_wait` spans and the per-stage
+# `stage.*` occupancy counters — in the exported trace.
 echo "==== async gate (build-release, traced async sweep) ===="
-./build-release/tools/eth_explore --dry-run tools/async_gate.cfg
 async_json="$(mktemp /tmp/eth_async_gate.XXXXXX.json)"
 ETH_TRACE="${async_json}" ./build-release/tools/eth_explore tools/async_gate.cfg
 ./build-release/tools/eth_trace_check "${async_json}" \
@@ -164,16 +185,19 @@ rm -f "${async_json}"
 # through raw pointers into uninitialized scratch and exact-size slab
 # arrays), PointSet (subset gathers through raw spans after one range
 # check) and Rng (the skip helpers the generator's schedule runs on).
+# The variant also runs UndefinedBehaviorSanitizer (fatal on the first
+# report), which is why Fingerprint (null source with an empty update)
+# and Knobs (the strict parser's overflow arithmetic) ride along.
 asan_variant() {
   local dir="build-asan"
-  echo "==== configure ${dir} (address sanitizer) ===="
+  echo "==== configure ${dir} (address + undefined sanitizer) ===="
   cmake -B "${dir}" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DETH_SANITIZE=address -DETH_BUILD_BENCH=OFF -DETH_BUILD_EXAMPLES=OFF
   echo "==== build ${dir} ===="
   cmake --build "${dir}" -j "${jobs}"
   echo "==== test ${dir} (data + insitu + buffer suites) ===="
   ctest --test-dir "${dir}" --output-on-failure --no-tests=error \
-    -R 'Buffer|CowArray|DataPlane|WireMessage|PerfCounters|RunSink|Serialize|GoldenWireFormat|InProc|Socket|Fault|Frame|Transport|LzCodec|CodecEquivalence|QuantizePack|CompressDataset|XrageGenerator|GridBlockRange|VtkIo|DumpTest|SphereBVH|BvhProperty|HaccGenerator|PointSet|Rng'
+    -R 'Buffer|CowArray|DataPlane|WireMessage|PerfCounters|RunSink|Serialize|GoldenWireFormat|InProc|Socket|Fault|Frame|Transport|LzCodec|CodecEquivalence|QuantizePack|CompressDataset|XrageGenerator|GridBlockRange|VtkIo|DumpTest|SphereBVH|BvhProperty|HaccGenerator|PointSet|Rng|Fingerprint|Knobs'
 }
 ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1}" asan_variant
 

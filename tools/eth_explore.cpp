@@ -10,9 +10,9 @@
 //               [--workers N] [--dry-run]
 
 //   --dry-run expands the sweep and prints each point's fully resolved
-//   spec (every effective value, including defaults and values pulled
-//   from the environment such as ETH_PIPELINE_DEPTH) without running
-//   anything — the way to audit what a config will actually execute.
+//   spec without running anything — every runtime knob's value and its
+//   source (spec, override, env or default), then every effective spec
+//   value — the way to audit what a config will actually execute.
 
 //   --workers N (or ETH_SWEEP_WORKERS=N) runs N sweep points
 //   concurrently; all output stays bit-identical to the serial sweep
@@ -23,15 +23,14 @@
 //   prints the per-phase span summary.
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
 #include "common/error.hpp"
+#include "common/knobs.hpp"
 #include "common/simd.hpp"
 #include "common/trace.hpp"
 #include "core/spec_config.hpp"
-#include "insitu/transport.hpp"
 
 namespace {
 
@@ -40,6 +39,18 @@ int usage() {
               "[--best energy|time] [--workers <n>] [--dry-run]\n\n%s",
               eth::experiment_config_reference().c_str());
   return 2;
+}
+
+const char* const kSourceNames[] = {"default", "env", "override", "spec"};
+
+/// A resolved knob value as the dry run prints it: the text as given,
+/// else the default's spelling ("-" for an unset path).
+std::string knob_label(const eth::knobs::KnobInfo& knob, const eth::knobs::Setting& s) {
+  using eth::knobs::Kind;
+  if (!s.text.empty()) return s.text;
+  if (knob.form.kind == Kind::kPath) return "-";
+  if (knob.form.names[0] != nullptr) return knob.form.names[s.value];
+  return std::to_string(s.value);
 }
 
 } // namespace
@@ -51,6 +62,7 @@ int main(int argc, char** argv) {
   std::string config_path;
   std::string csv_path;
   std::string best_metric;
+  const char* workers = nullptr;
   bool dry_run = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--dry-run") == 0) {
@@ -60,10 +72,7 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--best") == 0 && i + 1 < argc) {
       best_metric = argv[++i];
     } else if (std::strcmp(argv[i], "--workers") == 0 && i + 1 < argc) {
-      char* end = nullptr;
-      const long n = std::strtol(argv[++i], &end, 10);
-      if (end == argv[i] || *end != '\0' || n < 1 || n > 256) return usage();
-      set_sweep_worker_override(static_cast<int>(n));
+      workers = argv[++i];
     } else if (std::strcmp(argv[i], "--help") == 0) {
       return usage();
     } else if (config_path.empty()) {
@@ -77,21 +86,33 @@ int main(int argc, char** argv) {
     return usage();
 
   try {
+    if (workers != nullptr)
+      set_sweep_worker_override(static_cast<int>(
+          knobs::parse(knobs::Knob::sweep_workers, workers, "--workers")));
+    // Resolve every knob up front: an invalid ETH_* value fails here,
+    // before any point runs.
+    for (const knobs::KnobInfo& knob : knobs::kKnobs) knobs::value(knob.knob);
     const auto points = load_experiment_config(config_path);
     if (dry_run) {
-      std::printf("%s: %zu experiment%s (dry run, simd=%s, codec=%s)\n",
-                  config_path.c_str(), points.size(),
-                  points.size() == 1 ? "" : "s", simd::isa_label().c_str(),
-                  insitu::wire_codec_label());
-      for (const auto& point : points)
-        std::printf("\n[%s]\n%s", point.label.c_str(),
-                    spec_summary(point.spec).c_str());
+      std::printf("%s: %zu experiment%s (dry run, simd=%s)\n", config_path.c_str(),
+                  points.size(), points.size() == 1 ? "" : "s",
+                  simd::isa_label().c_str());
+      for (const auto& point : points) {
+        std::printf("\n[%s]\n", point.label.c_str());
+        for (const knobs::KnobInfo& knob : knobs::kKnobs) {
+          const knobs::Setting s =
+              knobs::resolve(knob.knob, point.spec.knob_setting(knob.knob));
+          std::printf("  %-19s %-12s %s\n", knob.env, knob_label(knob, s).c_str(),
+                      kSourceNames[static_cast<int>(s.source)]);
+        }
+        std::printf("%s", spec_summary(point.spec).c_str());
+      }
       return 0;
     }
-    const int workers = sweep_worker_count();
+    const int sweep_workers = sweep_worker_count();
     std::printf("%s: %zu experiment%s", config_path.c_str(), points.size(),
                 points.size() == 1 ? "" : "s");
-    if (workers > 1) std::printf(" (%d sweep workers)", workers);
+    if (sweep_workers > 1) std::printf(" (%d sweep workers)", sweep_workers);
     std::printf("\n");
 
     // run_sweep invokes on_result serially in submission order at any
@@ -113,7 +134,7 @@ int main(int argc, char** argv) {
     // data-plane, wire and cache counts (each column exactly once).
     std::printf("\n%s", robustness_table("configuration", outcomes).to_text().c_str());
 
-    const std::string trace_path = trace::env_trace_path();
+    const std::string trace_path = knobs::resolve(knobs::Knob::trace).text;
 
     if (!trace_path.empty()) {
       std::printf("\n%s", trace_summary_table().to_text().c_str());
