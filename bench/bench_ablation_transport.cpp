@@ -48,7 +48,7 @@ void BM_SerializeDataset(benchmark::State& state) {
   const PointSet& ps = dataset(state.range(0));
   std::size_t bytes = 0;
   for (auto _ : state) {
-    const auto buf = serialize_dataset(ps);
+    const auto buf = wire_message_for_dataset(ps).flatten();
     bytes = buf.size();
     benchmark::DoNotOptimize(buf.data());
   }
@@ -65,7 +65,7 @@ void BM_InprocChannelRoundTrip(benchmark::State& state) {
     benchmark::DoNotOptimize(received->num_points());
   }
   state.SetBytesProcessed(
-      static_cast<int64_t>(state.iterations() * serialize_dataset(ps).size()));
+      static_cast<int64_t>(state.iterations() * wire_message_for_dataset(ps).flatten().size()));
 }
 BENCHMARK(BM_InprocChannelRoundTrip)
     ->Arg(10000)
@@ -89,7 +89,7 @@ void BM_SocketRoundTrip(benchmark::State& state) {
     benchmark::DoNotOptimize(received->num_points());
   }
   state.SetBytesProcessed(
-      static_cast<int64_t>(state.iterations() * serialize_dataset(ps).size()));
+      static_cast<int64_t>(state.iterations() * wire_message_for_dataset(ps).flatten().size()));
   std::filesystem::remove(layout);
 }
 BENCHMARK(BM_SocketRoundTrip)->Arg(10000)->Arg(100000)->Unit(benchmark::kMillisecond);
@@ -120,7 +120,7 @@ void BM_TimestepHandoffZeroCopy(benchmark::State& state) {
   state.counters["copied_per_xfer"] = double(sink.bytes_copied.load()) / double(iters);
   state.counters["borrowed_per_xfer"] = double(sink.bytes_borrowed.load()) / double(iters);
   state.SetBytesProcessed(
-      static_cast<int64_t>(state.iterations() * serialize_dataset(dataset(n)).size()));
+      static_cast<int64_t>(state.iterations() * wire_message_for_dataset(dataset(n)).flatten().size()));
 }
 BENCHMARK(BM_TimestepHandoffZeroCopy)
     ->Arg(10000)
@@ -140,7 +140,7 @@ void BM_QuantizedTransport(benchmark::State& state) {
     const auto restored = decompress_dataset(compressed);
     benchmark::DoNotOptimize(restored->num_points());
   }
-  const auto plain_size = serialize_dataset(ps).size();
+  const auto plain_size = wire_message_for_dataset(ps).flatten().size();
   state.counters["ratio"] = double(plain_size) / double(compressed_size);
   // Mean positional reconstruction error, normalized by the box
   // diagonal.
@@ -173,7 +173,7 @@ WireMessage borrowed_message(const std::vector<std::uint8_t>& bytes) {
 void BM_FrameEncodeCodec(benchmark::State& state) {
   const auto codec = state.range(0) == 0 ? insitu::WireCodec::kNone
                                          : insitu::WireCodec::kLz4;
-  const auto payload = serialize_dataset(dataset(100000));
+  const auto payload = wire_message_for_dataset(dataset(100000)).flatten();
   std::size_t wire = 0;
   for (auto _ : state) {
     const auto frame = insitu::frame_encode_msg(borrowed_message(payload), codec);
@@ -190,7 +190,7 @@ BENCHMARK(BM_FrameEncodeCodec)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 void BM_FrameDecodeCodec(benchmark::State& state) {
   const auto codec = state.range(0) == 0 ? insitu::WireCodec::kNone
                                          : insitu::WireCodec::kLz4;
-  const auto payload = serialize_dataset(dataset(100000));
+  const auto payload = wire_message_for_dataset(dataset(100000)).flatten();
   const auto frame = insitu::frame_encode_msg(borrowed_message(payload), codec);
   for (auto _ : state) {
     const auto decoded = insitu::frame_decode_msg(frame);
@@ -304,11 +304,11 @@ std::vector<CurvePayload> curve_payloads() {
   xp.dims = {64, 48, 40};
   const auto xrage = sim::generate_xrage(xp);
   std::vector<CurvePayload> payloads;
-  payloads.push_back({"hacc", "raw", serialize_dataset(hacc)});
+  payloads.push_back({"hacc", "raw", wire_message_for_dataset(hacc).flatten()});
   for (const int bits : {8, 10, 16})
     payloads.push_back({"hacc", bits == 8 ? "quant8" : bits == 10 ? "quant10" : "quant16",
                         compress_dataset(hacc, bits)});
-  payloads.push_back({"xrage", "raw", serialize_dataset(*xrage)});
+  payloads.push_back({"xrage", "raw", wire_message_for_dataset(*xrage).flatten()});
   payloads.push_back({"xrage", "quant10", compress_dataset(*xrage, 10)});
   return payloads;
 }

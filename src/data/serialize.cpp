@@ -434,12 +434,6 @@ WireMessage wire_message_for_dataset(std::shared_ptr<const DataSet> ds) {
   return wire_message_impl(ref, Keepalive(std::move(ds)));
 }
 
-std::vector<std::uint8_t> serialize_dataset(const DataSet& ds) {
-  // Single source of truth for the wire format: the legacy contiguous
-  // path is the scatter-gather path, flattened.
-  return wire_message_for_dataset(ds).flatten();
-}
-
 std::unique_ptr<DataSet> deserialize_dataset(std::span<const std::uint8_t> bytes) {
   WireReader r(bytes); // no keepalive: every bulk array is copied
   return deserialize_dataset_impl(r);

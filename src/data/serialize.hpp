@@ -7,17 +7,16 @@
 // the interconnect. Little-endian POD layout; no compression (the paper
 // treats compression as a separate technique outside ETH's pipelines).
 //
-// Two serialization paths produce the SAME byte stream:
-//  * serialize_dataset / deserialize_dataset(span) — the legacy
-//    contiguous path (one flat vector, everything copied).
-//  * wire_message_for_dataset / deserialize_dataset(WireMessage) — the
-//    zero-copy path: small headers become owned segments, bulk arrays
-//    (field values, positions, mesh vertex/index arrays) become
-//    borrowed segments aliasing the live dataset, and the receiver
-//    adopts bulk arrays straight out of the receive buffer
-//    (copy-on-write on first mutation). The segment structure is
-//    invisible on the wire: flattening the message yields exactly the
-//    legacy byte stream.
+// wire_message_for_dataset is the one serializer, and it copies
+// nothing: small headers become owned segments, bulk arrays (field
+// values, positions, mesh vertex/index arrays) become borrowed
+// segments aliasing the live dataset. The segment structure is
+// invisible on the wire; WireMessage::flatten() yields the contiguous
+// byte stream. Two deserializers read that stream:
+//  * deserialize_dataset(WireMessage) adopts bulk arrays straight out
+//    of the receive buffer (copy-on-write on first mutation);
+//  * deserialize_dataset(span) copies every bulk array out of a flat
+//    buffer (file payloads, tests).
 
 #include <cstdint>
 #include <memory>
@@ -146,11 +145,8 @@ ArrayChunk<T> WireReader::get_array(std::size_t count) {
   return chunk;
 }
 
-/// Serialize any concrete DataSet (type tag included) into one flat
-/// vector (the legacy contiguous path; copies every bulk array).
-std::vector<std::uint8_t> serialize_dataset(const DataSet& ds);
-
-/// Scatter-gather serialization: headers are owned segments, bulk
+/// Scatter-gather serialization of any concrete DataSet (type tag
+/// included): headers are owned segments, bulk
 /// arrays are borrowed segments aliasing `ds`'s live storage. The
 /// CALLER must keep `ds` alive until the message has been sent (or
 /// flattened); queueing transports copy unowned segments on enqueue.
@@ -163,11 +159,11 @@ WireMessage wire_message_for_dataset(std::shared_ptr<const DataSet> ds);
 /// 64-bit content fingerprint of a dataset: one streaming hash pass
 /// over the zero-copy wire encoding (common/fingerprint.hpp), no
 /// copies. Segment boundaries are invisible, so this equals the
-/// fingerprint of the flat serialize_dataset() stream — two datasets
+/// fingerprint of the flattened stream — two datasets
 /// fingerprint equal exactly when they serialize to the same bytes.
 std::uint64_t dataset_fingerprint(const DataSet& ds);
 
-/// Reconstruct the concrete dataset from serialize_dataset output
+/// Reconstruct the concrete dataset from a flattened wire message
 /// (every bulk array is copied into fresh owned storage).
 std::unique_ptr<DataSet> deserialize_dataset(std::span<const std::uint8_t> bytes);
 

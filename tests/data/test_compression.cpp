@@ -84,7 +84,7 @@ TEST(CompressDataset, PointSetRoundTripWithinBound) {
 
 TEST(CompressDataset, CompressionActuallySavesBytes) {
   const PointSet ps = make_particles(5000);
-  const auto plain = serialize_dataset(ps);
+  const auto plain = wire_message_for_dataset(ps).flatten();
   const auto q8 = compress_dataset(ps, 8);
   const auto q16 = compress_dataset(ps, 16);
   // 8-bit: ~4x smaller than 32-bit floats (minus headers).

@@ -80,7 +80,7 @@ PointSet make_point_set() {
 
 TEST(SerializeDataset, PointSetRoundTrip) {
   const PointSet ps = make_point_set();
-  const auto bytes = serialize_dataset(ps);
+  const auto bytes = wire_message_for_dataset(ps).flatten();
   const auto restored = deserialize_dataset(bytes);
   ASSERT_EQ(restored->kind(), DataSetKind::kPointSet);
   const auto& r = static_cast<const PointSet&>(*restored);
@@ -95,7 +95,7 @@ TEST(SerializeDataset, StructuredGridRoundTrip) {
   StructuredGrid g({4, 3, 2}, {1, 2, 3}, {0.5f, 0.5f, 0.5f});
   Field& f = g.add_scalar_field("t");
   for (Index i = 0; i < g.num_points(); ++i) f.set(i, Real(i) * 0.25f);
-  const auto bytes = serialize_dataset(g);
+  const auto bytes = wire_message_for_dataset(g).flatten();
   const auto restored = deserialize_dataset(bytes);
   ASSERT_EQ(restored->kind(), DataSetKind::kStructuredGrid);
   const auto& r = static_cast<const StructuredGrid&>(*restored);
@@ -116,7 +116,7 @@ TEST(SerializeDataset, TriangleMeshRoundTripWithNormals) {
   s.set(0, 5);
   m.point_fields().add(std::move(s));
 
-  const auto bytes = serialize_dataset(m);
+  const auto bytes = wire_message_for_dataset(m).flatten();
   const auto restored = deserialize_dataset(bytes);
   ASSERT_EQ(restored->kind(), DataSetKind::kTriangleMesh);
   const auto& r = static_cast<const TriangleMesh&>(*restored);
@@ -133,7 +133,7 @@ TEST(SerializeDataset, TriangleMeshWithoutNormals) {
   m.add_vertex({1, 0, 0});
   m.add_vertex({0, 1, 0});
   m.add_triangle(0, 1, 2);
-  const auto bytes = serialize_dataset(m);
+  const auto bytes = wire_message_for_dataset(m).flatten();
   const auto restored = deserialize_dataset(bytes);
   EXPECT_FALSE(static_cast<const TriangleMesh&>(*restored).has_normals());
 }
@@ -162,9 +162,9 @@ TEST(SerializeProperty, RandomPointSetsRoundTripByteExact) {
     for (int f = 0; f < num_fields; ++f)
       ps.point_fields().add(random_field(rng, "f" + std::to_string(f), n));
 
-    const auto bytes = serialize_dataset(ps);
+    const auto bytes = wire_message_for_dataset(ps).flatten();
     const auto restored = deserialize_dataset(bytes);
-    EXPECT_EQ(serialize_dataset(*restored), bytes) << "trial " << trial;
+    EXPECT_EQ(wire_message_for_dataset(*restored).flatten(), bytes) << "trial " << trial;
   }
 }
 
@@ -179,9 +179,9 @@ TEST(SerializeProperty, RandomStructuredGridsRoundTripByteExact) {
     for (int f = 0; f < num_fields; ++f)
       g.point_fields().add(random_field(rng, "f" + std::to_string(f), g.num_points()));
 
-    const auto bytes = serialize_dataset(g);
+    const auto bytes = wire_message_for_dataset(g).flatten();
     const auto restored = deserialize_dataset(bytes);
-    EXPECT_EQ(serialize_dataset(*restored), bytes) << "trial " << trial;
+    EXPECT_EQ(wire_message_for_dataset(*restored).flatten(), bytes) << "trial " << trial;
   }
 }
 
@@ -206,9 +206,9 @@ TEST(SerializeProperty, RandomTriangleMeshesRoundTripByteExact) {
     if (rng.bernoulli(0.5))
       m.point_fields().add(random_field(rng, "scalar", verts));
 
-    const auto bytes = serialize_dataset(m);
+    const auto bytes = wire_message_for_dataset(m).flatten();
     const auto restored = deserialize_dataset(bytes);
-    EXPECT_EQ(serialize_dataset(*restored), bytes) << "trial " << trial;
+    EXPECT_EQ(wire_message_for_dataset(*restored).flatten(), bytes) << "trial " << trial;
   }
 }
 
@@ -217,7 +217,7 @@ TEST(SerializeProperty, AnySingleByteCorruptionIsCaughtByFrameChecksum) {
   // payload, any bit pattern. The framing layer must always classify
   // the damage as a TransportError; it never hands corrupt bytes to the
   // deserializer.
-  const auto payload = serialize_dataset(make_point_set());
+  const auto payload = wire_message_for_dataset(make_point_set()).flatten();
   WireMessage payload_msg;
   payload_msg.append_borrowed(payload);
   const auto frame = insitu::frame_encode_msg(payload_msg).flatten();
@@ -238,19 +238,19 @@ TEST(SerializeProperty, AnySingleByteCorruptionIsCaughtByFrameChecksum) {
 }
 
 TEST(SerializeDataset, CorruptMagicThrows) {
-  auto bytes = serialize_dataset(make_point_set());
+  auto bytes = wire_message_for_dataset(make_point_set()).flatten();
   bytes[0] ^= 0xFF;
   EXPECT_THROW(deserialize_dataset(bytes), Error);
 }
 
 TEST(SerializeDataset, TrailingBytesThrow) {
-  auto bytes = serialize_dataset(make_point_set());
+  auto bytes = wire_message_for_dataset(make_point_set()).flatten();
   bytes.push_back(0);
   EXPECT_THROW(deserialize_dataset(bytes), Error);
 }
 
 TEST(SerializeDataset, TruncatedPayloadThrows) {
-  auto bytes = serialize_dataset(make_point_set());
+  auto bytes = wire_message_for_dataset(make_point_set()).flatten();
   bytes.resize(bytes.size() / 2);
   EXPECT_THROW(deserialize_dataset(bytes), Error);
 }
@@ -269,7 +269,7 @@ TEST(DatasetFingerprint, NamesContentNotObject) {
 
 TEST(DatasetFingerprint, SurvivesSerializeRoundTrip) {
   const PointSet ps = make_point_set();
-  const auto restored = deserialize_dataset(serialize_dataset(ps));
+  const auto restored = deserialize_dataset(wire_message_for_dataset(ps).flatten());
   EXPECT_EQ(dataset_fingerprint(*restored), dataset_fingerprint(ps));
 }
 

@@ -100,7 +100,7 @@ TEST(TetMesh, SampleMatchesStructuredTrilinearOnLinearField) {
 
 TEST(TetMesh, SerializationRoundTrip) {
   const TetMesh mesh = unit_tet();
-  const auto bytes = serialize_dataset(mesh);
+  const auto bytes = wire_message_for_dataset(mesh).flatten();
   const auto restored = deserialize_dataset(bytes);
   ASSERT_EQ(restored->kind(), DataSetKind::kTetMesh);
   const auto& r = static_cast<const TetMesh&>(*restored);

@@ -2,10 +2,9 @@
 //
 // The serialized byte stream is a WIRE CONTRACT: checked-in hex
 // fixtures (generated from the original contiguous serializer) pin the
-// exact bytes for every dataset kind. Both serialization paths — the
-// contiguous serialize_dataset and the scatter-gather
-// wire_message_for_dataset — must keep reproducing these fixtures
-// bit-for-bit. The stored (ETHF) and compressed (ETHZ) frames around
+// exact bytes for every dataset kind. The scatter-gather
+// wire_message_for_dataset must keep flattening to these fixtures
+// bit-for-bit, however its segments are split. The stored (ETHF) and compressed (ETHZ) frames around
 // them are pinned the same way, so endpoints of any revision
 // interoperate.
 
@@ -22,8 +21,8 @@
 namespace eth {
 namespace {
 
-// Fixtures generated from the pre-refactor serializer (hex of
-// serialize_dataset output). Regenerating these is only legitimate for
+// Fixtures generated from the pre-refactor serializer (hex of its
+// contiguous output). Regenerating these is only legitimate for
 // an intentional, versioned wire-format change.
 constexpr char kGoldenPointSet[] =  // 141 bytes
     "44485445010400000000000000000000000000803e000080bf0000c03f000000"
@@ -178,26 +177,23 @@ WireMessage borrowed_message(const std::vector<std::uint8_t>& bytes) {
 void expect_golden(const DataSet& ds, const char* hex, const char* frame_hex) {
   const std::vector<std::uint8_t> fixture = from_hex(hex);
 
-  // 1. The contiguous path reproduces the fixture bit-for-bit.
-  EXPECT_EQ(serialize_dataset(ds), fixture);
-
-  // 2. The scatter-gather path flattens to the same bytes.
+  // 1. The scatter-gather message flattens to the fixture bit-for-bit.
   const WireMessage msg = wire_message_for_dataset(ds);
   EXPECT_EQ(msg.flatten(), fixture);
 
-  // 3. The stored frame matches its pinned hex whether the payload is
+  // 2. The stored frame matches its pinned hex whether the payload is
   // one segment or many, and decodes back to the fixture.
   const std::vector<std::uint8_t> frame = insitu::frame_encode_msg(msg).flatten();
   EXPECT_EQ(to_hex(frame), frame_hex);
   EXPECT_EQ(insitu::frame_encode_msg(borrowed_message(fixture)).flatten(), frame);
   EXPECT_EQ(insitu::frame_decode_msg(borrowed_message(frame)).flatten(), fixture);
 
-  // 4. Round trips through BOTH deserializers re-serialize to the
+  // 3. Round trips through BOTH deserializers re-serialize to the
   // fixture exactly.
-  EXPECT_EQ(serialize_dataset(*deserialize_dataset(fixture)), fixture);
+  EXPECT_EQ(wire_message_for_dataset(*deserialize_dataset(fixture)).flatten(), fixture);
   WireMessage fixture_msg;
   fixture_msg.append_owned(Buffer::copy_of(fixture));
-  EXPECT_EQ(serialize_dataset(*deserialize_dataset(fixture_msg)), fixture);
+  EXPECT_EQ(wire_message_for_dataset(*deserialize_dataset(fixture_msg)).flatten(), fixture);
 }
 
 // ---- codec-tagged frames (DESIGN.md §15). The compressed wire image

@@ -45,7 +45,7 @@ WireMessage message_of(std::vector<std::uint8_t> bytes) {
 std::vector<std::uint8_t> sample_bytes() {
   PointSet ps(16);
   for (Index i = 0; i < 16; ++i) ps.set_position(i, {Real(i), Real(i) * 2, 0});
-  return serialize_dataset(ps);
+  return wire_message_for_dataset(ps).flatten();
 }
 
 WireMessage sample_payload() { return message_of(sample_bytes()); }

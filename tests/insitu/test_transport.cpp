@@ -87,7 +87,7 @@ TEST(InProcChannel, DatasetRoundTripGrid) {
   EXPECT_EQ(static_cast<const StructuredGrid&>(*restored).dims(), (Vec3i{8, 8, 8}));
   // Dataset transfers ride the CRC frame, so the wire carries one frame
   // header on top of the serialized payload.
-  EXPECT_EQ(a->bytes_sent(), serialize_dataset(*grid).size() + kFrameHeaderBytes);
+  EXPECT_EQ(a->bytes_sent(), wire_message_for_dataset(*grid).flatten().size() + kFrameHeaderBytes);
 }
 
 // ------------------------------------------- scatter-gather / zero-copy

@@ -53,7 +53,9 @@ Real ref_fbm(std::uint64_t seed, Vec3f p) {
 }
 
 /// Temperature, density and pressure of block [lo, hi), x fastest.
-std::vector<std::vector<Real>> ref_block(const XrageParams& p, Vec3i lo, Vec3i hi) {
+/// Adds the number of points that take the plume branch to `plume_points`.
+std::vector<std::vector<Real>> ref_block(const XrageParams& p, Vec3i lo, Vec3i hi,
+                                         Index& plume_points) {
   const Real spacing_val = p.domain_size / Real(p.dims.x - 1);
   const Vec3i dims{hi.x - lo.x, hi.y - lo.y, hi.z - lo.z};
   const auto n = static_cast<std::size_t>(dims.x * dims.y * dims.z);
@@ -85,6 +87,7 @@ std::vector<std::vector<Real>> ref_block(const XrageParams& p, Vec3i lo, Vec3i h
         const Real plume_r = shock_radius * Real(0.5) *
                              (Real(0.4) + Real(0.6) * pos.y / std::max(plume_height, Real(1e-3)));
         if (pos.y > 0 && pos.y < plume_height && horiz2 < plume_r * plume_r) {
+          ++plume_points;
           const Real nz = ref_fbm(p.seed, pos * noise_scale + Vec3f{0, t * Real(0.7), 0});
           temp += Real(0.35) * nz * (Real(1) - pos.y / plume_height);
         }
@@ -200,47 +203,39 @@ TEST(XrageGenerator, BlockEqualsFullGridRegion) {
 }
 
 TEST(XrageGenerator, TabledNoiseMatchesPointwiseReference) {
+  Index plume_points = 0;
+  const auto expect_matches = [&](const XrageParams& p, Vec3i lo, Vec3i hi) {
+    const auto grid = generate_xrage_block(p, lo, hi);
+    const auto ref = ref_block(p, lo, hi, plume_points);
+    for (std::size_t f = 0; f < 3; ++f) {
+      const std::span<const Real> got = grid->point_fields().get(kFields[f]).values();
+      ASSERT_EQ(got.size(), ref[f].size());
+      EXPECT_EQ(std::memcmp(got.data(), ref[f].data(), got.size() * sizeof(Real)), 0)
+          << kFields[f] << " dims " << p.dims.x << "x" << p.dims.y << "x" << p.dims.z
+          << " block [" << lo.x << "," << lo.y << "," << lo.z << ")-[" << hi.x << ","
+          << hi.y << "," << hi.z << ") t " << p.timestep << " seed " << p.seed;
+    }
+  };
   // On the 8^3 grid neighbouring indices skip lattice cells in the high
-  // octaves, so the compact per-axis slots have gaps.
+  // octaves, so the compact per-axis slots have gaps. Timestep 8 lifts
+  // the plume through many rows; the odd-width blocks leave a row tail
+  // that no 4- or 8-lane vector loop covers whole.
   for (const Vec3i dims : {Vec3i{8, 8, 8}, Vec3i{37, 23, 19}, XrageParams::small_problem().dims})
-    for (const int parts : {1, 4, 8})
-      for (const Index timestep : {0, 2})
-        for (const std::uint64_t seed : {99ull, 7919ull}) {
-          XrageParams p;
-          p.dims = dims;
-          p.timestep = timestep;
-          p.seed = seed;
+    for (const Index timestep : {0, 2, 8})
+      for (const std::uint64_t seed : {99ull, 7919ull}) {
+        XrageParams p;
+        p.dims = dims;
+        p.timestep = timestep;
+        p.seed = seed;
+        for (const int parts : {1, 4, 8})
           for (int share = 0; share < parts; ++share) {
             const auto [lo, hi] = grid_block_range(dims, share, parts);
-            const auto grid = generate_xrage_block(p, lo, hi);
-            const auto ref = ref_block(p, lo, hi);
-            for (std::size_t f = 0; f < 3; ++f) {
-              const std::span<const Real> got = grid->point_fields().get(kFields[f]).values();
-              ASSERT_EQ(got.size(), ref[f].size());
-              EXPECT_EQ(std::memcmp(got.data(), ref[f].data(), got.size() * sizeof(Real)), 0)
-                  << kFields[f] << " dims " << dims.x << "x" << dims.y << "x" << dims.z
-                  << " parts " << parts << " share " << share << " t " << timestep
-                  << " seed " << seed;
-            }
+            expect_matches(p, lo, hi);
           }
-        }
-}
-
-TEST(XrageGenerator, RankSlabsShareBoundaryPlanes) {
-  XrageParams p;
-  p.dims = {16, 12, 20};
-  const auto r0 = generate_xrage_rank(p, 0, 2);
-  const auto r1 = generate_xrage_rank(p, 1, 2);
-  // r0 covers z in [0, 11), r1 covers [10, 20): one plane of overlap.
-  EXPECT_EQ(r0->dims().z + r1->dims().z, 20 + 1);
-  // The shared plane holds identical values.
-  const Field& f0 = r0->point_fields().get("temperature");
-  const Field& f1 = r1->point_fields().get("temperature");
-  const Index z_shared_r0 = r0->dims().z - 1;
-  for (Index j = 0; j < 12; ++j)
-    for (Index i = 0; i < 16; ++i)
-      EXPECT_EQ(f0.get(r0->point_index(i, j, z_shared_r0)),
-                f1.get(r1->point_index(i, j, 0)));
+        expect_matches(p, {1, 0, 2}, {dims.x, dims.y - 1, dims.z}); // width dims.x - 1
+        expect_matches(p, {2, 1, 1}, {7, dims.y, 6});               // width 5
+      }
+  EXPECT_GT(plume_points, 0);
 }
 
 TEST(BlockFactorization, NearCubicAndComplete) {
