@@ -63,7 +63,7 @@ void BM_BvhTraverse(benchmark::State& state) {
 BENCHMARK(BM_BvhTraverse)
     ->ArgsProduct({{int(SphereBVH::SplitMethod::kBinnedSAH),
                     int(SphereBVH::SplitMethod::kMedian)},
-                   {1, 4, 16}})
+                   {1, 4, 16, 64}})
     ->Unit(benchmark::kMillisecond);
 
 } // namespace

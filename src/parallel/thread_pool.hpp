@@ -162,7 +162,7 @@ private:
 ThreadPool& global_pool();
 
 /// Replace the pool returned by global_pool() (tests and thread-count
-/// sweeps; bench_parallel_render uses it to compare 1 vs N workers).
+/// sweeps, e.g. the ParallelGolden 1-vs-N-worker comparisons).
 /// Pass nullptr to restore the default pool. Pins ETH_THREADS to the
 /// pool's size. Must not be called while any parallel loop is in flight.
 void set_global_pool(ThreadPool* pool);

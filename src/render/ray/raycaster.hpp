@@ -38,11 +38,11 @@ struct SphereRaycastOptions {
   /// Sized for the SIMD leaf kernel: larger leaves trade a few extra
   /// sphere tests for far fewer node visits, and the vector kernel
   /// amortizes the tests across full lanes (64 = eight AVX2 packs).
-  /// Measured on bench_parallel_render's 200k-particle scene, 64 is the
-  /// flattest point for BOTH the scalar and vector paths — past it the
-  /// scalar path pays for tests the lanes hide. The tree is identical
-  /// for every ETH_SIMD setting, so the scalar↔vector bit-identity
-  /// contract is unaffected.
+  /// bench_ablation_bvh's BM_BvhTraverse leaf sweep (1/4/16/64) under
+  /// ETH_SIMD=native and scalar regenerates the choice: the vector path
+  /// is fastest at 64, while the scalar path pays a little for the
+  /// tests the lanes hide. The tree is identical for every ETH_SIMD
+  /// setting, so the scalar↔vector bit-identity contract is unaffected.
   int max_leaf_size = 64;
 };
 

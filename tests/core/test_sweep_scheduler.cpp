@@ -12,10 +12,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
+#include <cstdint>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <string>
@@ -376,6 +379,60 @@ TEST(SweepScheduler, TraceHistogramMatchesSerialAtFourWorkers) {
     EXPECT_EQ(a.cell(row, 1), b.cell(row, 1)); // kind
     EXPECT_EQ(a.cell(row, 2), b.cell(row, 2)); // count
   }
+}
+
+// The scheduler exists to overlap points' blocked time. Frame sends
+// that draw no bit flip stall on an injected delay, so each point
+// spends tens of ms blocked; at 4 workers at least two points must then
+// be in flight at once, while the serial sweep runs them strictly one
+// after another. Each point's rank spans land on its own namespaced
+// track range, so its wall-clock extent is read from the trace. This is
+// an ordering fact, not a speedup ratio.
+TEST(SweepScheduler, PointsOverlapAtFourWorkers) {
+  TraceStateGuard trace_guard(true);
+  CacheStateGuard cache_guard;
+  global_artifact_cache().set_enabled(false);
+  std::vector<SweepPoint> points = hacc_faulted_sweep();
+  for (SweepPoint& point : points) {
+    point.spec.fault.p_delay = 1.0;
+    point.spec.fault.delay_ms = 30.0;
+  }
+  const Harness harness;
+
+  using Extent = std::pair<std::int64_t, std::int64_t>; // [start, end) ns
+  const auto overlapping_pairs = [&](int sweep_workers) {
+    ScopedSweepWorkers workers(sweep_workers);
+    trace::reset();
+    run_sweep(harness, points);
+    std::vector<Extent> extents(points.size(),
+                                {std::numeric_limits<std::int64_t>::max(),
+                                 std::numeric_limits<std::int64_t>::min()});
+    for (const trace::TraceEvent& e : trace::snapshot()) {
+      // Rank tracks only: host and modelled-timeline tracks are not
+      // wall-clock work of one point.
+      if (e.type != trace::EventType::kSpan || e.track < 0 ||
+          e.track >= trace::kHostTrack)
+        continue;
+      const auto point = static_cast<std::size_t>(e.track / trace::kSweepTrackStride);
+      if (point >= extents.size()) {
+        ADD_FAILURE() << "span on track " << e.track << " maps to no point";
+        continue;
+      }
+      extents[point].first = std::min(extents[point].first, e.ts_ns);
+      extents[point].second = std::max(extents[point].second, e.ts_ns + e.dur_ns);
+    }
+    int pairs = 0;
+    for (std::size_t i = 0; i < extents.size(); ++i) {
+      EXPECT_LT(extents[i].first, extents[i].second) << "point " << i << " traced nothing";
+      for (std::size_t j = i + 1; j < extents.size(); ++j)
+        pairs += extents[i].first < extents[j].second &&
+                 extents[j].first < extents[i].second;
+    }
+    return pairs;
+  };
+
+  EXPECT_EQ(overlapping_pairs(1), 0) << "serial sweep points overlapped";
+  EXPECT_GE(overlapping_pairs(4), 1) << "no two points ran at once at 4 workers";
 }
 
 // Satellite regression (ISSUE 7): Harness::run used to join read-ahead

@@ -25,6 +25,18 @@ run_variant() {
 
 run_variant build-release -DCMAKE_BUILD_TYPE=Release
 
+# Doc gate: every bench program README.md or DESIGN.md names must be one
+# bench/CMakeLists.txt builds, so no passage cites a program (or the
+# CSV it wrote) that nothing regenerates.
+echo "==== doc gate (bench programs named in README.md, DESIGN.md) ===="
+built_benches="$(sed -nE 's/^eth_(bench|ablation)\((bench_[a-z0-9_]+)\)$/\2/p' \
+  bench/CMakeLists.txt | sort -u)"
+named_benches="$(grep -ohP '\bbench_[a-z0-9_]*[a-z0-9]\b(?!\*|\.(hpp|cpp|csv))' \
+  README.md DESIGN.md | grep -vx 'bench_results' | sort -u)"
+unbuilt="$(comm -23 <(echo "${named_benches}") <(echo "${built_benches}"))"
+[ -z "${unbuilt}" ] ||
+  { echo "doc gate: named but not built by bench/CMakeLists.txt:" ${unbuilt}; exit 1; }
+
 # Cache-equivalence gate (DESIGN.md §10): the artifact cache memoizes
 # proxy loads, filter outputs and render acceleration structures, and
 # every one of those producers must be pure — a sweep renders
