@@ -1,59 +1,25 @@
 #pragma once
 // Runtime-dispatched SIMD kernel table (DESIGN.md §14).
 //
-// Call sites keep their scalar loops verbatim and consult
-// active_kernels() once per kernel invocation: a null table means
-// ETH_SIMD=scalar (or no vector ISA) and the original scalar code runs
-// unchanged; a non-null table provides drop-in vectorized equivalents
-// with a bit-identical-output contract (lanes are independent elements,
-// per-element op order matches the scalar expression exactly).
+// One kernel is vectorized: the BVH leaf batch, the only lane kernel
+// that measured an end-to-end gain (HACC sphere raycasting). Its call
+// site in SphereBVH::intersect keeps the scalar loop verbatim and
+// consults active_kernels() once per ray: a null table means
+// ETH_SIMD=scalar and the scalar loop runs unchanged; a non-null table
+// provides the drop-in vectorized equivalent with a bit-identical-
+// output contract (lanes are independent spheres, per-element op order
+// matches the scalar expression exactly). Every other hot loop is plain
+// scalar code; a new kernel belongs here only if it pays end to end.
 //
-// Signatures are deliberately POD — raw pointers, floats and int64
-// counts — so this header pulls in no renderer or pipeline types and
-// the per-ISA translation units (simd_kernels_w4.cpp / _w8.cpp) stay
-// leaf dependencies. All pointers are caller-validated; `n` counts
+// The signature is deliberately POD — raw pointers, floats and int64
+// counts — so this header pulls in no renderer types and the per-ISA
+// translation units (simd_kernels_w4.cpp / _w8.cpp) stay leaf
+// dependencies. All pointers are caller-validated; `n` counts
 // elements, not bytes.
 
 #include <cstdint>
 
 namespace eth::simd {
-
-/// POD view of a StructuredGrid + scalar Field + optional MinMaxGrid,
-/// enough to reproduce StructuredGrid::sample and
-/// MinMaxGrid::may_contain lane-wise.
-struct GridView {
-  const float* field = nullptr; ///< point scalars, x-fastest
-  std::int32_t dims_x = 0, dims_y = 0, dims_z = 0;
-  float org_x = 0, org_y = 0, org_z = 0;
-  float sp_x = 0, sp_y = 0, sp_z = 0;
-  // Min-max macrocell grid; mm_ranges == nullptr disables skipping.
-  const float* mm_ranges = nullptr; ///< interleaved (min, max) pairs
-  std::int32_t mm_dims_x = 0, mm_dims_y = 0, mm_dims_z = 0;
-  float mm_org_x = 0, mm_org_y = 0, mm_org_z = 0;
-  float mm_inv_x = 0, mm_inv_y = 0, mm_inv_z = 0;
-};
-
-/// One row block of rays for march_iso, SoA with `count` <= table
-/// width lanes (arrays sized >= width; inactive tail lanes zeroed).
-struct MarchRays {
-  int count = 0;
-  float ox = 0, oy = 0, oz = 0;  ///< shared pinhole origin
-  const float* dx = nullptr;     ///< unit direction components
-  const float* dy = nullptr;
-  const float* dz = nullptr;
-  const float* t0 = nullptr;     ///< clip entry parameter
-  const float* t_limit = nullptr;///< march bound (box exit or nearest slice)
-  const unsigned char* active = nullptr; ///< 1 = march this lane
-};
-
-/// march_iso result: per-lane bisection bracket for hit lanes.
-struct MarchHits {
-  float* a = nullptr;        ///< bracket start (prev_t)
-  float* b = nullptr;        ///< bracket end (t)
-  float* va = nullptr;       ///< sample at bracket start
-  unsigned char* hit = nullptr; ///< 1 = crossing found
-  std::int64_t steps = 0;    ///< total ray_steps consumed (all lanes)
-};
 
 struct KernelTable {
   const char* name;  ///< ISA label: "sse2", "avx2", "neon", "generic4"
@@ -66,44 +32,6 @@ struct KernelTable {
                          std::int64_t n, std::int64_t base, float ox, float oy,
                          float oz, float dx, float dy, float dz, float radius,
                          float tmin, float& closest, std::int64_t& slot);
-
-  /// Lockstep isosurface march over <= width rays; mirrors the scalar
-  /// march_iso loop up to (but excluding) bisection refinement, which
-  /// the caller runs per hit lane on the returned bracket.
-  void (*march_iso)(const GridView& grid, float isovalue, float step,
-                    float skip_step, const MarchRays& rays, MarchHits& out);
-
-  /// Depth-test merge (compositor merge_pair_range): rgba is 4 floats
-  /// per pixel, src wins on strictly smaller depth.
-  void (*depth_merge)(float* dst_rgba, float* dst_depth, const float* src_rgba,
-                      const float* src_depth, std::int64_t n_pixels);
-
-  /// Premultiplied front-to-back blend of one partial into out
-  /// (alpha_composite_premultiplied inner statement over a pixel run).
-  void (*premul_blend)(float* out_rgba, float* out_depth, const float* src_rgba,
-                       const float* src_depth, std::int64_t n_pixels);
-
-  /// ImageBuffer::blend_over of one partial into out over a pixel run.
-  void (*blend_over)(float* out_rgba, const float* src_rgba,
-                     std::int64_t n_pixels);
-
-  /// Threshold predicate scan: writes base+i for every i in [0, n) with
-  /// lo <= values[i] <= hi (ascending), returns the count written.
-  /// `out` must have room for n entries.
-  std::int64_t (*threshold_scan)(const float* values, std::int64_t n, float lo,
-                                 float hi, std::int64_t base, std::int64_t* out);
-
-  /// Strided row gather (grid downsampling): dst[i] =
-  /// src[min(i * stride, max_src)] for i in [0, n).
-  void (*stride_copy)(const float* src, float* dst, std::int64_t n,
-                      std::int64_t stride, std::int64_t max_src);
-
-  /// Gaussian splat row: for i in [0, n): gx = org_x + sp_x * (i0 + i),
-  /// ddx = gx - px, d2 = (ddx*ddx + dy2) + dz2; if d2 <= cutoff2 then
-  /// acc[i] += exp(-d2 * inv_2s2) and ++updates.
-  void (*splat_row)(float* acc, std::int64_t i0, std::int64_t n, float org_x,
-                    float sp_x, float px, float dy2, float dz2, float cutoff2,
-                    float inv_2s2, std::int64_t& updates);
 };
 
 /// The 4-wide table (SSE2 / NEON / generic reference loops) — always

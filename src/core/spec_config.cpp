@@ -209,6 +209,11 @@ std::vector<SweepPoint> parse_experiment_config(const std::string& text) {
     std::string value;
     while (is >> value) values.push_back(value);
     require(!values.empty(), "experiment config: key '" + key + "' has no value");
+    // A sweep lists its values on one line; a second line for the same
+    // key would otherwise silently override the first.
+    for (const auto& entry : entries)
+      require(entry.first != key, "experiment config: key '" + key +
+                                      "' given twice (list sweep values on one line)");
     entries.push_back({key, std::move(values)});
   }
   require(!entries.empty(), "experiment config: empty configuration");

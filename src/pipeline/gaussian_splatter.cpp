@@ -1,6 +1,5 @@
 #include "pipeline/gaussian_splatter.hpp"
 
-#include "common/simd_kernels.hpp"
 #include "common/string_util.hpp"
 
 #include <cmath>
@@ -82,7 +81,6 @@ std::unique_ptr<DataSet> GaussianSplatterFilter::execute(
   std::vector<std::vector<Real>> partial(static_cast<std::size_t>(n_chunks));
   std::vector<Index> chunk_updates(static_cast<std::size_t>(n_chunks), 0);
 
-  const simd::KernelTable* table = simd::active_kernels();
   parallel_for_chunks(0, n, n_chunks, [&](Index c, Index b, Index e) {
     std::vector<Real>& acc = partial[static_cast<std::size_t>(c)];
     acc.assign(n_voxels, Real(0));
@@ -97,19 +95,6 @@ std::unique_ptr<DataSet> GaussianSplatterFilter::execute(
       const Index k1 = hi_i(p.z, box.lo.z, spacing.z, dims.z);
       for (Index k = k0; k <= k1; ++k)
         for (Index j = j0; j <= j1; ++j) {
-          if (table != nullptr) {
-            // Row kernel over the contiguous i-run. dy2/dz2 are shared
-            // by the row and computed with the same expressions the
-            // scalar length2 uses, so each voxel's d2 and exp argument
-            // are bit-identical (DESIGN.md §14).
-            const Vec3f g0 = grid->point_position(i0, j, k);
-            const Real ddy = g0.y - p.y;
-            const Real ddz = g0.z - p.z;
-            table->splat_row(acc.data() + grid->point_index(i0, j, k), i0,
-                             i1 - i0 + 1, box.lo.x, spacing.x, p.x, ddy * ddy,
-                             ddz * ddz, cutoff * cutoff, inv_2s2, updates);
-            continue;
-          }
           for (Index i = i0; i <= i1; ++i) {
             const Vec3f g = grid->point_position(i, j, k);
             const Real d2 = length2(g - p);

@@ -3,12 +3,10 @@
 #include "common/string_util.hpp"
 
 #include <cmath>
-#include <limits>
 #include <unordered_map>
 #include <vector>
 
 #include "common/rng.hpp"
-#include "common/simd_kernels.hpp"
 #include "data/point_set.hpp"
 #include "data/structured_grid.hpp"
 #include "parallel/thread_pool.hpp"
@@ -141,34 +139,13 @@ std::unique_ptr<DataSet> SpatialSampler::sample_grid(
   // sampling above stays serial: Bernoulli/stratified modes consume a
   // sequential RNG stream whose draws cannot be split without changing
   // which points are selected.)
-  const simd::KernelTable* table = simd::active_kernels();
   for (std::size_t f = 0; f < grid.point_fields().size(); ++f) {
     const Field& src = grid.point_fields().at(f);
     Field& dst = out->point_fields().add(
         Field(src.name(), out->num_points(), src.components(), src.association()));
-    // Single-component fields gather each output row through the SIMD
-    // stride kernel: dst[i] = src[min(i*stride, d.x-1)], exactly the
-    // scalar statement (a pure copy, so trivially bit-identical). The
-    // mutable span is materialized before the parallel region (the
-    // copy-on-write step must not race).
-    const bool vectorize = table != nullptr && src.components() == 1 &&
-                           grid.num_points() <=
-                               Index(std::numeric_limits<std::int32_t>::max()) &&
-                           (nd.x - 1) * stride <=
-                               Index(std::numeric_limits<std::int32_t>::max());
-    const std::span<const Real> sv = src.values();
-    const std::span<Real> dv = dst.values();
     parallel_for(0, nd.z, 1, [&](Index k0, Index k1) {
       for (Index k = k0; k < k1; ++k)
         for (Index j = 0; j < nd.y; ++j) {
-          if (vectorize) {
-            const Index sj = std::min(j * stride, d.y - 1);
-            const Index sk = std::min(k * stride, d.z - 1);
-            table->stride_copy(sv.data() + grid.point_index(0, sj, sk),
-                               dv.data() + out->point_index(0, j, k), nd.x, stride,
-                               d.x - 1);
-            continue;
-          }
           for (Index i = 0; i < nd.x; ++i) {
             const Index si = std::min(i * stride, d.x - 1);
             const Index sj = std::min(j * stride, d.y - 1);

@@ -1,6 +1,5 @@
 #include "pipeline/threshold.hpp"
 
-#include "common/simd_kernels.hpp"
 #include "common/string_util.hpp"
 
 #include <vector>
@@ -35,20 +34,8 @@ std::unique_ptr<DataSet> ThresholdFilter::execute(const DataSet* input,
   const Index n = ps.num_points();
   const Index n_chunks = plan_chunks(n, 4096);
   std::vector<std::vector<Index>> chunk_keep(static_cast<std::size_t>(n_chunks));
-  // Single-component fields scan through the SIMD predicate kernel
-  // (same compares, same ascending output order; DESIGN.md §14).
-  static_assert(std::is_same_v<Index, std::int64_t>);
-  const simd::KernelTable* table = simd::active_kernels();
-  const bool vectorize = table != nullptr && field.components() == 1;
   parallel_for_chunks(0, n, n_chunks, [&](Index c, Index b, Index e) {
     std::vector<Index>& local = chunk_keep[static_cast<std::size_t>(c)];
-    if (vectorize) {
-      local.resize(static_cast<std::size_t>(e - b));
-      const Index kept = table->threshold_scan(field.values().data() + b, e - b,
-                                               lower_, upper_, b, local.data());
-      local.resize(static_cast<std::size_t>(kept));
-      return;
-    }
     for (Index i = b; i < e; ++i) {
       const Real v = field.get(i);
       if (v >= lower_ && v <= upper_) local.push_back(i);

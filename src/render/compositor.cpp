@@ -1,7 +1,6 @@
 #include "render/compositor.hpp"
 
 #include "common/error.hpp"
-#include "common/simd_kernels.hpp"
 #include "common/trace.hpp"
 #include "data/serialize.hpp"
 #include "parallel/thread_pool.hpp"
@@ -9,17 +8,6 @@
 namespace eth {
 
 namespace {
-
-// Vec4f is four contiguous floats, so pixel runs view as flat rgba for
-// the SIMD blend kernels (DESIGN.md §14).
-static_assert(sizeof(Vec4f) == 4 * sizeof(Real));
-
-float* rgba_ptr(std::vector<Vec4f>& colors, std::size_t p) {
-  return reinterpret_cast<float*>(colors.data() + p);
-}
-const float* rgba_ptr(const std::vector<Vec4f>& colors, std::size_t p) {
-  return reinterpret_cast<const float*>(colors.data() + p);
-}
 
 /// Depth-test merge of one pixel range, the shared inner loop of the
 /// pair merge and the reduction tree. Strict `<` keeps `dst` on equal
@@ -31,11 +19,6 @@ void merge_pair_range(ImageBuffer& dst, const ImageBuffer& src, std::size_t p0,
   auto& ddep = dst.depths();
   const auto& scol = src.colors();
   const auto& sdep = src.depths();
-  if (const simd::KernelTable* table = simd::active_kernels(); table != nullptr) {
-    table->depth_merge(rgba_ptr(dcol, p0), ddep.data() + p0, rgba_ptr(scol, p0),
-                       sdep.data() + p0, static_cast<std::int64_t>(p1 - p0));
-    return;
-  }
   for (std::size_t p = p0; p < p1; ++p) {
     if (sdep[p] < ddep[p]) {
       ddep[p] = sdep[p];
@@ -73,19 +56,12 @@ void depth_composite(std::span<const ImageBuffer> partials, ImageBuffer& out,
   // ties) — identical to merging the partials sequentially, for every
   // partition of the pixel range.
   const Index n = out.num_pixels();
-  const simd::KernelTable* table = simd::active_kernels();
   parallel_for(0, n, 16384, [&](Index b, Index e) {
     auto& dcol = out.colors();
     auto& ddep = out.depths();
     for (const ImageBuffer& partial : partials) {
       const auto& scol = partial.colors();
       const auto& sdep = partial.depths();
-      if (table != nullptr) {
-        const auto sb = static_cast<std::size_t>(b);
-        table->depth_merge(rgba_ptr(dcol, sb), ddep.data() + b, rgba_ptr(scol, sb),
-                           sdep.data() + b, e - b);
-        continue;
-      }
       for (Index p = b; p < e; ++p) {
         const auto sp = static_cast<std::size_t>(p);
         if (sdep[sp] < ddep[sp]) {
@@ -158,20 +134,7 @@ void alpha_composite(std::span<const ImageBuffer> partials,
   // blends the partials front to back exactly as the serial loop did,
   // so the result is independent of the pixel partition.
   const Index width = out.width();
-  const simd::KernelTable* table = simd::active_kernels();
   parallel_for(0, out.height(), 8, [&](Index y0, Index y1) {
-    if (table != nullptr) {
-      // Row-run kernel calls; per pixel the partial order is unchanged
-      // (pixels are independent, so hoisting `idx` above `x` is exact).
-      auto& ocol = out.colors();
-      for (Index y = y0; y < y1; ++y) {
-        const auto row = static_cast<std::size_t>(y * width);
-        for (const std::size_t idx : order)
-          table->blend_over(rgba_ptr(ocol, row), rgba_ptr(partials[idx].colors(), row),
-                            width);
-      }
-      return;
-    }
     for (Index y = y0; y < y1; ++y)
       for (Index x = 0; x < width; ++x)
         for (const std::size_t idx : order) out.blend_over(x, y, partials[idx].color(x, y));
@@ -195,20 +158,7 @@ void alpha_composite_premultiplied(std::span<const ImageBuffer> partials,
             "alpha_composite_premultiplied: size mismatch");
   }
   const Index width = out.width();
-  const simd::KernelTable* table = simd::active_kernels();
   parallel_for(0, out.height(), 8, [&](Index y0, Index y1) {
-    if (table != nullptr) {
-      auto& ocol = out.colors();
-      auto& odep = out.depths();
-      for (Index y = y0; y < y1; ++y) {
-        const auto row = static_cast<std::size_t>(y * width);
-        for (const std::size_t idx : order)
-          table->premul_blend(rgba_ptr(ocol, row), odep.data() + row,
-                              rgba_ptr(partials[idx].colors(), row),
-                              partials[idx].depths().data() + row, width);
-      }
-      return;
-    }
     for (Index y = y0; y < y1; ++y)
       for (Index x = 0; x < width; ++x)
         for (const std::size_t idx : order) {

@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <type_traits>
 #include <utility>
 
 #include "common/error.hpp"
-#include "common/simd_kernels.hpp"
 #include "common/timer.hpp"
 #include "common/trace.hpp"
 #include "parallel/thread_pool.hpp"
@@ -294,217 +292,51 @@ void RaycastRenderer::render_volume_scene(const StructuredGrid& grid,
   for (const SliceRaycastOptions& slice : slices)
     slice_normals.push_back(normalize(slice.plane_normal));
 
-  // SIMD path (DESIGN.md §14): the W-pixel march runs through the
-  // kernel table; ray setup, bisection refinement and shading stay
-  // scalar per pixel so every lane's op sequence matches the scalar
-  // loop exactly. Falls back to the scalar loop for multi-component
-  // fields or grids whose flat indices overflow the 32-bit gather.
-  static_assert(std::is_same_v<Real, float> && sizeof(std::pair<Real, Real>) ==
-                                                   2 * sizeof(Real));
-  const simd::KernelTable* table = simd::active_kernels();
-  const bool use_skipping = !minmax.empty();
-  const Real skip_step =
-      std::max(use_skipping ? minmax.macro_extent() * Real(0.5) : Real(0), step);
-  simd::GridView view{};
-  bool vectorize =
-      table != nullptr && field.components() == 1 &&
-      grid.num_points() <= Index(std::numeric_limits<std::int32_t>::max());
-  if (vectorize) {
-    const Vec3i d = grid.dims();
-    const Vec3f org = grid.origin();
-    view.field = field.values().data();
-    view.dims_x = static_cast<std::int32_t>(d.x);
-    view.dims_y = static_cast<std::int32_t>(d.y);
-    view.dims_z = static_cast<std::int32_t>(d.z);
-    view.org_x = org.x;
-    view.org_y = org.y;
-    view.org_z = org.z;
-    view.sp_x = spacing.x;
-    view.sp_y = spacing.y;
-    view.sp_z = spacing.z;
-    if (use_skipping) {
-      const Vec3i md = minmax.dims();
-      if (Index(2) * md.x * md.y * md.z <=
-          Index(std::numeric_limits<std::int32_t>::max())) {
-        view.mm_ranges = reinterpret_cast<const Real*>(minmax.ranges_data());
-        view.mm_dims_x = static_cast<std::int32_t>(md.x);
-        view.mm_dims_y = static_cast<std::int32_t>(md.y);
-        view.mm_dims_z = static_cast<std::int32_t>(md.z);
-        const Vec3f morg = minmax.origin(), minv = minmax.inv_cell();
-        view.mm_org_x = morg.x;
-        view.mm_org_y = morg.y;
-        view.mm_org_z = morg.z;
-        view.mm_inv_x = minv.x;
-        view.mm_inv_y = minv.y;
-        view.mm_inv_z = minv.z;
-      } else {
-        vectorize = false;
-      }
-    }
-  }
-
   const CameraFrame frame = camera.frame(width, height);
   const Index n_chunks = plan_chunks(height, kRowGrain);
   cluster::CounterShards shards(n_chunks);
   parallel_for_chunks(0, height, n_chunks, [&](Index chunk, Index y0, Index y1) {
     cluster::PerfCounters& local = shards.at(chunk);
-    if (!vectorize) {
-      for (Index py = y0; py < y1; ++py) {
-        for (Index px = 0; px < width; ++px) {
-          const Ray ray = frame.ray(px, py);
-          ++local.rays_cast;
-          Real t0, t1;
-          if (!clip_ray_to_box(ray, box, camera.znear(), camera.zfar(), t0, t1))
-            continue;
-
-          // Nearest slice hit (if any); the isosurface march is then
-          // bounded by it — anything behind is occluded.
-          Real nearest = t1;
-          int nearest_slice = -1;
-          for (std::size_t s = 0; s < slices.size(); ++s) {
-            const Vec3f n = slice_normals[s];
-            const Real denom = dot(ray.direction, n);
-            if (std::abs(denom) < Real(1e-9)) continue;
-            const Real t = dot(slices[s].plane_origin - ray.origin, n) / denom;
-            if (t > t0 - Real(1e-4) && t < nearest) {
-              nearest = t;
-              nearest_slice = static_cast<int>(s);
-            }
-          }
-
-          const Real hit_t = march_iso(grid, field, minmax, ray, t0, nearest, step,
-                                       iso_options, local.ray_steps);
-          if (hit_t > 0) {
-            const Vec3f p = ray.origin + ray.direction * hit_t;
-            const Vec3f normal = normalize(grid.gradient(field, p));
-            const Vec4f color =
-                shade_headlight(normal, ray.direction, iso_base, iso_options.ambient);
-            image.depth_test_set(px, py, color, camera.eye_depth(p));
-          } else if (nearest_slice >= 0) {
-            const Vec3f p = ray.origin + ray.direction * nearest;
-            const SliceRaycastOptions& slice =
-                slices[static_cast<std::size_t>(nearest_slice)];
-            const Real v = grid.sample(field, p);
-            const Vec4f color = shade_headlight(
-                slice_normals[static_cast<std::size_t>(nearest_slice)],
-                ray.direction, slice.colormap->map(v), slice.ambient);
-            image.depth_test_set(px, py, color, camera.eye_depth(p));
-          }
-        }
-      }
-      return;
-    }
-
-    constexpr int kMaxWidth = 8;
-    const int lanes = table->width;
-    float dxa[kMaxWidth], dya[kMaxWidth], dza[kMaxWidth];
-    float t0a[kMaxWidth], tla[kMaxWidth];
-    float ha[kMaxWidth], hb[kMaxWidth], hva[kMaxWidth];
-    unsigned char act[kMaxWidth], hitl[kMaxWidth];
-    Ray lane_ray[kMaxWidth];
-    Real lane_nearest[kMaxWidth];
-    int lane_slice[kMaxWidth];
     for (Index py = y0; py < y1; ++py) {
-      for (Index px0 = 0; px0 < width; px0 += lanes) {
-        const int count = static_cast<int>(std::min<Index>(lanes, width - px0));
-        bool any_active = false;
-        for (int l = 0; l < lanes; ++l) {
-          act[l] = 0;
-          hitl[l] = 0;
-          dxa[l] = dya[l] = dza[l] = 0;
-          t0a[l] = tla[l] = 0;
-        }
-        // Scalar per-pixel preamble: ray generation, box clip, slice
-        // scan — identical statements to the scalar loop above.
-        for (int l = 0; l < count; ++l) {
-          const Index px = px0 + l;
-          const Ray ray = frame.ray(px, py);
-          ++local.rays_cast;
-          lane_ray[l] = ray;
-          lane_slice[l] = -1;
-          Real t0, t1;
-          if (!clip_ray_to_box(ray, box, camera.znear(), camera.zfar(), t0, t1))
-            continue;
-          Real nearest = t1;
-          int nearest_slice = -1;
-          for (std::size_t s = 0; s < slices.size(); ++s) {
-            const Vec3f n = slice_normals[s];
-            const Real denom = dot(ray.direction, n);
-            if (std::abs(denom) < Real(1e-9)) continue;
-            const Real t = dot(slices[s].plane_origin - ray.origin, n) / denom;
-            if (t > t0 - Real(1e-4) && t < nearest) {
-              nearest = t;
-              nearest_slice = static_cast<int>(s);
-            }
+      for (Index px = 0; px < width; ++px) {
+        const Ray ray = frame.ray(px, py);
+        ++local.rays_cast;
+        Real t0, t1;
+        if (!clip_ray_to_box(ray, box, camera.znear(), camera.zfar(), t0, t1))
+          continue;
+
+        // Nearest slice hit (if any); the isosurface march is then
+        // bounded by it — anything behind is occluded.
+        Real nearest = t1;
+        int nearest_slice = -1;
+        for (std::size_t s = 0; s < slices.size(); ++s) {
+          const Vec3f n = slice_normals[s];
+          const Real denom = dot(ray.direction, n);
+          if (std::abs(denom) < Real(1e-9)) continue;
+          const Real t = dot(slices[s].plane_origin - ray.origin, n) / denom;
+          if (t > t0 - Real(1e-4) && t < nearest) {
+            nearest = t;
+            nearest_slice = static_cast<int>(s);
           }
-          act[l] = 1;
-          any_active = true;
-          dxa[l] = ray.direction.x;
-          dya[l] = ray.direction.y;
-          dza[l] = ray.direction.z;
-          t0a[l] = t0;
-          tla[l] = nearest;
-          lane_nearest[l] = nearest;
-          lane_slice[l] = nearest_slice;
         }
-        if (any_active) {
-          simd::MarchRays rays;
-          rays.count = count;
-          rays.ox = frame.origin.x;
-          rays.oy = frame.origin.y;
-          rays.oz = frame.origin.z;
-          rays.dx = dxa;
-          rays.dy = dya;
-          rays.dz = dza;
-          rays.t0 = t0a;
-          rays.t_limit = tla;
-          rays.active = act;
-          simd::MarchHits hits;
-          hits.a = ha;
-          hits.b = hb;
-          hits.va = hva;
-          hits.hit = hitl;
-          table->march_iso(view, iso_options.isovalue, step, skip_step, rays, hits);
-          local.ray_steps += hits.steps;
-        }
-        // Scalar epilogue: bisection refinement on the returned bracket
-        // and shading, statement-for-statement the scalar code.
-        for (int l = 0; l < count; ++l) {
-          if (act[l] == 0) continue;
-          const Index px = px0 + l;
-          const Ray& ray = lane_ray[l];
-          Real hit_t = Real(-1);
-          if (hitl[l] != 0) {
-            Real a = ha[l], b = hb[l], va = hva[l];
-            for (int it = 0; it < iso_options.bisection_iterations; ++it) {
-              const Real m = (a + b) / 2;
-              const Real vm = grid.sample(field, ray.origin + ray.direction * m);
-              if ((va - iso_options.isovalue) * (vm - iso_options.isovalue) <= 0)
-                b = m;
-              else {
-                a = m;
-                va = vm;
-              }
-            }
-            hit_t = (a + b) / 2;
-          }
-          if (hit_t > 0) {
-            const Vec3f p = ray.origin + ray.direction * hit_t;
-            const Vec3f normal = normalize(grid.gradient(field, p));
-            const Vec4f color =
-                shade_headlight(normal, ray.direction, iso_base, iso_options.ambient);
-            image.depth_test_set(px, py, color, camera.eye_depth(p));
-          } else if (lane_slice[l] >= 0) {
-            const Real nearest = lane_nearest[l];
-            const Vec3f p = ray.origin + ray.direction * nearest;
-            const SliceRaycastOptions& slice =
-                slices[static_cast<std::size_t>(lane_slice[l])];
-            const Real v = grid.sample(field, p);
-            const Vec4f color = shade_headlight(
-                slice_normals[static_cast<std::size_t>(lane_slice[l])],
-                ray.direction, slice.colormap->map(v), slice.ambient);
-            image.depth_test_set(px, py, color, camera.eye_depth(p));
-          }
+
+        const Real hit_t = march_iso(grid, field, minmax, ray, t0, nearest, step,
+                                     iso_options, local.ray_steps);
+        if (hit_t > 0) {
+          const Vec3f p = ray.origin + ray.direction * hit_t;
+          const Vec3f normal = normalize(grid.gradient(field, p));
+          const Vec4f color =
+              shade_headlight(normal, ray.direction, iso_base, iso_options.ambient);
+          image.depth_test_set(px, py, color, camera.eye_depth(p));
+        } else if (nearest_slice >= 0) {
+          const Vec3f p = ray.origin + ray.direction * nearest;
+          const SliceRaycastOptions& slice =
+              slices[static_cast<std::size_t>(nearest_slice)];
+          const Real v = grid.sample(field, p);
+          const Vec4f color = shade_headlight(
+              slice_normals[static_cast<std::size_t>(nearest_slice)],
+              ray.direction, slice.colormap->map(v), slice.ambient);
+          image.depth_test_set(px, py, color, camera.eye_depth(p));
         }
       }
     }

@@ -91,9 +91,6 @@ public:
   Vec3i dims() const { return dims_; }
   Real macro_extent() const { return extent_; }
   Vec3f origin() const { return origin_; }
-  Vec3f inv_cell() const { return inv_cell_; }
-  /// Interleaved (min, max) storage, for the SIMD march kernel's view.
-  const std::pair<Real, Real>* ranges_data() const { return ranges_.data(); }
 
   /// Could the macrocell containing world point `p` hold `isovalue`?
   /// Points outside the grid return false.

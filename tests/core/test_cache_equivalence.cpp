@@ -154,10 +154,15 @@ void expect_equivalence(const ExperimentSpec& base, bool with_disk_proxy) {
                                            "warm point " + off[i].label);
   }
 
-  // Every warm point must actually have hit the cache: a sum over the
-  // sweep would hide one point whose keys stopped matching.
-  for (const SweepOutcome& o : warm)
+  // Every warm point must be served entirely by the cold sweep's
+  // entries: a sum over the sweep would hide one point whose keys
+  // stopped matching, and `hits > 0` alone would too — with a disk proxy
+  // the point's own t+1 read-ahead inserts entries that its demand
+  // lookups then hit. A warm point therefore misses nothing.
+  for (const SweepOutcome& o : warm) {
     EXPECT_GT(o.result.counters.cache_hits, 0) << "warm point " << o.label;
+    EXPECT_EQ(o.result.counters.cache_misses, 0) << "warm point " << o.label;
+  }
   // And the cache-off pass must not have recorded any cache traffic.
   for (const SweepOutcome& o : off) {
     EXPECT_EQ(o.result.counters.cache_hits, 0);

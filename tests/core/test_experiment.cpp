@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 
 #include "common/error.hpp"
@@ -57,6 +58,20 @@ TEST(ExperimentSpec, RejectsDegenerateCounts) {
   spec = valid_hacc();
   spec.use_disk_proxy = true;
   spec.proxy_dir.clear();
+  EXPECT_THROW(spec.validate(), Error);
+  // Sampling ratio must lie in (0, 1]; NaN must not slip past as "no
+  // sampling" (the viz stage only samples when ratio < 1).
+  for (const double ratio : {0.0, -0.5, 2.0, std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity()}) {
+    spec = valid_hacc();
+    spec.viz.sampling_ratio = ratio;
+    EXPECT_THROW(spec.validate(), Error) << "sampling ratio " << ratio;
+  }
+  spec = valid_hacc();
+  spec.viz.sampling_ratio = 1.0;
+  EXPECT_NO_THROW(spec.validate());
+  spec = valid_hacc();
+  spec.hacc.num_particles = -5;
   EXPECT_THROW(spec.validate(), Error);
 }
 

@@ -4,6 +4,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <string>
 
 #include "common/error.hpp"
 
@@ -95,6 +96,13 @@ TEST(SpecConfig, RejectsMalformedInput) {
   EXPECT_THROW(parse_experiment_config(
                    "application xrage\nalgorithm vtk-points\nnodes 2\nranks 2\n"),
                Error);
+  // A repeated key is an error naming the key, not a silent override.
+  try {
+    parse_experiment_config("application hacc\nnodes 4\nranks 2\nnodes 8\n");
+    ADD_FAILURE() << "repeated key accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("'nodes'"), std::string::npos) << e.what();
+  }
 }
 
 TEST(SpecConfig, LoadFromFile) {

@@ -1,13 +1,13 @@
-// SimdGate (DESIGN.md §14): the SIMD kernel tables promise outputs
-// bit-identical to the scalar loops they replace — not "close", equal
+// SimdGate (DESIGN.md §14): the SIMD kernel table promises output
+// bit-identical to the scalar loop it replaces — not "close", equal
 // under memcmp. Two layers enforce it here:
 //
-//  1. Per-kernel unit vectors: every table (w4 always, w8 when the
-//     build has AVX2) runs against a scalar replica of the exact call
-//     site expression on inputs chosen to hit the hard cases — tail
-//     elements (n not a multiple of the width), partially-set lane
-//     masks, boundary equalities, -0.0 and NaN payload bits that a
-//     sloppy masked store or unordered compare would corrupt.
+//  1. Kernel unit vectors: every table (w4 always, w8 when the build
+//     has AVX2) runs the BVH leaf kernel against a scalar replica of
+//     the call site's loop on inputs chosen to hit the hard cases —
+//     tail elements (n not a multiple of the width), misses, roots
+//     behind the origin and NaN centers that an unordered compare
+//     would accept.
 //
 //  2. Full-harness mini-sweeps: HACC and xRAGE configurations run
 //     end-to-end under ETH_SIMD=scalar and native at 1 and 8 pool
@@ -16,11 +16,9 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
-#include <memory>
 #include <vector>
 
 #include "common/simd.hpp"
@@ -29,11 +27,9 @@
 #include "core/artifact_cache.hpp"
 #include "core/harness.hpp"
 #include "core/sweep.hpp"
-#include "data/structured_grid.hpp"
 #include "parallel/thread_pool.hpp"
 #include "render/compositor.hpp"
 #include "render/ray/bvh.hpp"
-#include "render/ray/raycaster.hpp"
 
 #include "../metric_checks.hpp"
 
@@ -77,7 +73,6 @@ bool bits_equal(const float* a, const float* b, std::size_t n) {
 }
 
 constexpr float kQnan = std::numeric_limits<float>::quiet_NaN();
-constexpr float kInf = std::numeric_limits<float>::infinity();
 
 TEST(SimdGateDispatch, TablesResolveAndLabel) {
   const simd::KernelTable* w4 = simd::kernels_w4();
@@ -163,380 +158,6 @@ TEST(SimdGateKernels, LeafIntersectMatchesScalarLoop) {
   }
 }
 
-// ------------------------------------------------------------ iso march
-
-std::shared_ptr<StructuredGrid> wavy_grid(Index dim) {
-  const Vec3f spacing{Real(3) / Real(dim - 1), Real(3) / Real(dim - 1),
-                      Real(3) / Real(dim - 1)};
-  auto grid = std::make_shared<StructuredGrid>(Vec3i{int(dim), int(dim), int(dim)},
-                                               Vec3f{-1.5f, -1.5f, -1.5f}, spacing);
-  Field& f = grid->add_scalar_field("v");
-  for (Index k = 0; k < dim; ++k)
-    for (Index j = 0; j < dim; ++j)
-      for (Index i = 0; i < dim; ++i) {
-        const Vec3f p = grid->point_position(i, j, k);
-        f.set(grid->point_index(i, j, k),
-              std::sin(Real(2.1) * p.x) * std::cos(Real(1.7) * p.y) +
-                  Real(0.4) * p.z);
-      }
-  return grid;
-}
-
-struct MarchRef {
-  float a = 0, b = 0, va = 0;
-  unsigned char hit = 0;
-  std::int64_t steps = 0;
-};
-
-/// Scalar replica of the raycaster march loop up to (not including)
-/// bisection — the exact contract of KernelTable::march_iso.
-MarchRef march_reference(const StructuredGrid& grid, const Field& field,
-                         const MinMaxGrid* minmax, Vec3f o, Vec3f d, float t0,
-                         float t_limit, float iso, float step, float skip_step) {
-  MarchRef r;
-  Real prev_t = t0 + Real(1e-6);
-  Real prev_v = grid.sample(field, o + d * prev_t);
-  for (Real t = prev_t + step; t <= t_limit;) {
-    ++r.steps;
-    if (minmax != nullptr && !minmax->may_contain(o + d * t, iso)) {
-      t += skip_step;
-      prev_t = t;
-      prev_v = grid.sample(field, o + d * t);
-      t += step;
-      continue;
-    }
-    const Real v = grid.sample(field, o + d * t);
-    if ((prev_v - iso) * (v - iso) <= 0 && prev_v != v) {
-      r.a = prev_t;
-      r.b = t;
-      r.va = prev_v;
-      r.hit = 1;
-      return r;
-    }
-    prev_t = t;
-    prev_v = v;
-    t += step;
-  }
-  return r;
-}
-
-simd::GridView make_view(const StructuredGrid& grid, const Field& field,
-                         const MinMaxGrid* minmax) {
-  simd::GridView view{};
-  const Vec3i d = grid.dims();
-  const Vec3f org = grid.origin(), sp = grid.spacing();
-  view.field = field.values().data();
-  view.dims_x = std::int32_t(d.x);
-  view.dims_y = std::int32_t(d.y);
-  view.dims_z = std::int32_t(d.z);
-  view.org_x = org.x;
-  view.org_y = org.y;
-  view.org_z = org.z;
-  view.sp_x = sp.x;
-  view.sp_y = sp.y;
-  view.sp_z = sp.z;
-  if (minmax != nullptr) {
-    const Vec3i md = minmax->dims();
-    view.mm_ranges = reinterpret_cast<const Real*>(minmax->ranges_data());
-    view.mm_dims_x = std::int32_t(md.x);
-    view.mm_dims_y = std::int32_t(md.y);
-    view.mm_dims_z = std::int32_t(md.z);
-    const Vec3f morg = minmax->origin(), minv = minmax->inv_cell();
-    view.mm_org_x = morg.x;
-    view.mm_org_y = morg.y;
-    view.mm_org_z = morg.z;
-    view.mm_inv_x = minv.x;
-    view.mm_inv_y = minv.y;
-    view.mm_inv_z = minv.z;
-  }
-  return view;
-}
-
-void expect_march_matches(const StructuredGrid& grid, const Field& field,
-                          const MinMaxGrid* minmax) {
-  const float iso = 0.3f;
-  const Vec3f sp = grid.spacing();
-  const float step = std::min({sp.x, sp.y, sp.z});
-  const float skip_step = std::max(
-      minmax != nullptr ? minmax->macro_extent() * Real(0.5) : Real(0), step);
-  const simd::GridView view = make_view(grid, field, minmax);
-  const Vec3f origin{-2.5f, 0.12f, 0.07f};
-
-  for (const simd::KernelTable* table : vector_tables()) {
-    const int W = table->width;
-    // count < width exercises the tail lanes; lane 2 is inactive to
-    // exercise a hole in the mask. Lane 3 gets a tiny t_limit so it
-    // dies on the first bound check.
-    const int count = W - 1;
-    float dx[8], dy[8], dz[8], t0[8], tl[8];
-    float ha[8], hb[8], hva[8];
-    unsigned char act[8], hit[8];
-    for (int l = 0; l < 8; ++l) {
-      dx[l] = dy[l] = dz[l] = t0[l] = tl[l] = 0;
-      act[l] = hit[l] = 0;
-    }
-    for (int l = 0; l < count; ++l) {
-      const Vec3f dir = normalize(
-          Vec3f{1.0f, Real(0.08) * Real(l - 1), Real(-0.05) * Real(l)});
-      dx[l] = dir.x;
-      dy[l] = dir.y;
-      dz[l] = dir.z;
-      t0[l] = 0.4f + 0.03f * float(l);
-      tl[l] = l == 3 ? 0.45f : 6.0f;
-      act[l] = l == 2 ? 0 : 1;
-    }
-
-    simd::MarchRays rays;
-    rays.count = count;
-    rays.ox = origin.x;
-    rays.oy = origin.y;
-    rays.oz = origin.z;
-    rays.dx = dx;
-    rays.dy = dy;
-    rays.dz = dz;
-    rays.t0 = t0;
-    rays.t_limit = tl;
-    rays.active = act;
-    simd::MarchHits hits;
-    hits.a = ha;
-    hits.b = hb;
-    hits.va = hva;
-    hits.hit = hit;
-    table->march_iso(view, iso, step, skip_step, rays, hits);
-
-    std::int64_t ref_steps = 0;
-    int ref_hits = 0;
-    for (int l = 0; l < count; ++l) {
-      if (act[l] == 0) {
-        EXPECT_EQ(hit[l], 0) << table->name << " lane " << l;
-        continue;
-      }
-      const MarchRef ref =
-          march_reference(grid, field, minmax, origin, {dx[l], dy[l], dz[l]},
-                          t0[l], tl[l], iso, step, skip_step);
-      ref_steps += ref.steps;
-      ref_hits += ref.hit;
-      ASSERT_EQ(hit[l], ref.hit) << table->name << " lane " << l;
-      if (ref.hit != 0) {
-        EXPECT_TRUE(bits_equal(&ha[l], &ref.a, 1)) << table->name << " lane " << l;
-        EXPECT_TRUE(bits_equal(&hb[l], &ref.b, 1)) << table->name << " lane " << l;
-        EXPECT_TRUE(bits_equal(&hva[l], &ref.va, 1))
-            << table->name << " lane " << l;
-      }
-    }
-    EXPECT_EQ(hits.steps, ref_steps) << table->name;
-    EXPECT_GT(ref_hits, 0) << "march scene must produce at least one hit";
-  }
-}
-
-TEST(SimdGateKernels, MarchIsoMatchesScalarLoop) {
-  const auto grid = wavy_grid(14);
-  const Field& field = grid->point_fields().get("v");
-  expect_march_matches(*grid, field, nullptr);
-}
-
-TEST(SimdGateKernels, MarchIsoWithSpaceSkippingMatchesScalarLoop) {
-  const auto grid = wavy_grid(14);
-  const Field& field = grid->point_fields().get("v");
-  const MinMaxGrid minmax(*grid, field);
-  ASSERT_FALSE(minmax.empty());
-  expect_march_matches(*grid, field, &minmax);
-}
-
-// ----------------------------------------------------------- depth merge
-
-TEST(SimdGateKernels, DepthMergeMatchesScalarLoop) {
-  // n = 13: one full w8 block, one full w4 block, scalar tail for both.
-  // Depth ties keep dst (strict <); NaN src depth never wins; NaN color
-  // payloads copy through bit-exactly.
-  const std::int64_t n = 13;
-  std::vector<float> dst_rgba(4 * n), src_rgba(4 * n);
-  std::vector<float> dst_depth(n), src_depth(n);
-  for (std::int64_t p = 0; p < n; ++p) {
-    for (int c = 0; c < 4; ++c) {
-      dst_rgba[4 * p + c] = 0.1f * float(p) + 0.01f * float(c);
-      src_rgba[4 * p + c] = -0.2f * float(p) - 0.02f * float(c);
-    }
-    dst_depth[p] = 5.0f;
-    src_depth[p] = (p % 3 == 0) ? 2.0f : 7.0f;
-  }
-  src_rgba[4 * 0 + 1] = kQnan; // NaN payload on a winning pixel
-  src_rgba[4 * 0 + 2] = -0.0f;
-  src_depth[4] = 5.0f;  // exact tie: dst keeps
-  src_depth[7] = kQnan; // NaN depth: ordered compare keeps dst
-  src_depth[12] = kInf;
-  dst_depth[9] = -kInf; // dst already in front of everything
-
-  for (const simd::KernelTable* table : vector_tables()) {
-    std::vector<float> rgba = dst_rgba, depth = dst_depth;
-    std::vector<float> ref_rgba = dst_rgba, ref_depth = dst_depth;
-    table->depth_merge(rgba.data(), depth.data(), src_rgba.data(),
-                       src_depth.data(), n);
-    for (std::int64_t p = 0; p < n; ++p) {
-      if (src_depth[p] < ref_depth[p]) {
-        ref_depth[p] = src_depth[p];
-        std::memcpy(&ref_rgba[4 * p], &src_rgba[4 * p], 4 * sizeof(float));
-      }
-    }
-    EXPECT_TRUE(bits_equal(rgba.data(), ref_rgba.data(), rgba.size()))
-        << table->name;
-    EXPECT_TRUE(bits_equal(depth.data(), ref_depth.data(), depth.size()))
-        << table->name;
-  }
-}
-
-// ---------------------------------------------------------- alpha blends
-
-TEST(SimdGateKernels, PremulBlendMatchesScalarLoop) {
-  const std::int64_t n = 13;
-  std::vector<float> out_rgba(4 * n), src_rgba(4 * n);
-  std::vector<float> out_depth(n, 4.0f), src_depth(n);
-  for (std::int64_t p = 0; p < n; ++p) {
-    for (int c = 0; c < 4; ++c) {
-      out_rgba[4 * p + c] = 0.05f * float(p + c);
-      src_rgba[4 * p + c] = 0.03f * float(p) + 0.2f * float(c);
-    }
-    src_depth[p] = (p % 2 == 0) ? 1.5f : 9.0f;
-  }
-  src_rgba[4 * 1 + 3] = 0.0f;  // sw == 0: skipped pixel
-  src_rgba[4 * 5 + 3] = -0.5f; // sw < 0: skipped pixel
-  src_rgba[4 * 8 + 3] = kQnan; // NaN alpha: `sw <= 0` is false, blends
-  out_rgba[4 * 3 + 0] = -0.0f; // sign bit must survive the skip path
-
-  for (const simd::KernelTable* table : vector_tables()) {
-    std::vector<float> rgba = out_rgba, depth = out_depth;
-    std::vector<float> ref_rgba = out_rgba, ref_depth = out_depth;
-    table->premul_blend(rgba.data(), depth.data(), src_rgba.data(),
-                        src_depth.data(), n);
-    for (std::int64_t p = 0; p < n; ++p) {
-      const float sw = src_rgba[4 * p + 3];
-      if (sw <= 0) continue;
-      const float trans = 1.0f - ref_rgba[4 * p + 3];
-      for (int c = 0; c < 4; ++c)
-        ref_rgba[4 * p + c] = ref_rgba[4 * p + c] + src_rgba[4 * p + c] * trans;
-      if (src_depth[p] < ref_depth[p]) ref_depth[p] = src_depth[p];
-    }
-    EXPECT_TRUE(bits_equal(rgba.data(), ref_rgba.data(), rgba.size()))
-        << table->name;
-    EXPECT_TRUE(bits_equal(depth.data(), ref_depth.data(), depth.size()))
-        << table->name;
-  }
-}
-
-TEST(SimdGateKernels, BlendOverMatchesScalarLoop) {
-  const std::int64_t n = 13;
-  std::vector<float> out_rgba(4 * n), src_rgba(4 * n);
-  for (std::int64_t p = 0; p < n; ++p) {
-    for (int c = 0; c < 4; ++c) {
-      out_rgba[4 * p + c] = 0.07f * float(p) + 0.1f * float(c);
-      src_rgba[4 * p + c] = 0.09f * float(p + 1) - 0.04f * float(c);
-    }
-  }
-  out_rgba[4 * 2 + 3] = 1.0f;  // opaque dst: trans == 0
-  src_rgba[4 * 6 + 3] = 0.0f;  // transparent src
-  src_rgba[4 * 10 + 0] = kQnan;
-
-  for (const simd::KernelTable* table : vector_tables()) {
-    std::vector<float> rgba = out_rgba;
-    std::vector<float> ref = out_rgba;
-    table->blend_over(rgba.data(), src_rgba.data(), n);
-    for (std::int64_t p = 0; p < n; ++p) {
-      const float sw = src_rgba[4 * p + 3];
-      const float dw = ref[4 * p + 3];
-      const float trans = 1.0f - dw;
-      for (int c = 0; c < 3; ++c)
-        ref[4 * p + c] = ref[4 * p + c] + src_rgba[4 * p + c] * sw * trans;
-      ref[4 * p + 3] = dw + sw * trans;
-    }
-    EXPECT_TRUE(bits_equal(rgba.data(), ref.data(), rgba.size())) << table->name;
-  }
-}
-
-// ------------------------------------------------------- predicate scans
-
-TEST(SimdGateKernels, ThresholdScanMatchesScalarLoop) {
-  // n = 11 with boundary values on both edges, an all-reject run and a
-  // NaN (ordered compares reject it exactly like the scalar &&).
-  const std::vector<float> values = {0.25f, 0.1f, 0.75f, 0.5f,  kQnan, 0.3f,
-                                     0.9f,  0.9f, 0.9f,  0.25f, 0.74999f};
-  const std::int64_t n = std::int64_t(values.size());
-  const float lo = 0.25f, hi = 0.75f;
-  const std::int64_t base = 1000;
-
-  std::vector<std::int64_t> ref;
-  for (std::int64_t i = 0; i < n; ++i)
-    if (values[std::size_t(i)] >= lo && values[std::size_t(i)] <= hi)
-      ref.push_back(base + i);
-  ASSERT_FALSE(ref.empty());
-
-  for (const simd::KernelTable* table : vector_tables()) {
-    std::vector<std::int64_t> out(std::size_t(n), -1);
-    const std::int64_t count =
-        table->threshold_scan(values.data(), n, lo, hi, base, out.data());
-    ASSERT_EQ(count, std::int64_t(ref.size())) << table->name;
-    for (std::size_t i = 0; i < ref.size(); ++i)
-      EXPECT_EQ(out[i], ref[i]) << table->name << " index " << i;
-  }
-}
-
-TEST(SimdGateKernels, StrideCopyMatchesScalarLoop) {
-  const std::int64_t n = 9, stride = 3, max_src = 20;
-  std::vector<float> src(std::size_t(max_src) + 1);
-  for (std::size_t i = 0; i < src.size(); ++i) src[i] = 1.0f / float(i + 1);
-  src[6] = kQnan;   // gathered bit pattern must survive
-  src[20] = -0.0f;  // clamp target
-
-  std::vector<float> ref(static_cast<std::size_t>(n));
-  for (std::int64_t i = 0; i < n; ++i)
-    ref[std::size_t(i)] = src[std::size_t(std::min(i * stride, max_src))];
-
-  for (const simd::KernelTable* table : vector_tables()) {
-    std::vector<float> dst(std::size_t(n), 99.0f);
-    table->stride_copy(src.data(), dst.data(), n, stride, max_src);
-    EXPECT_TRUE(bits_equal(dst.data(), ref.data(), dst.size())) << table->name;
-  }
-}
-
-// ---------------------------------------------------------- splat rows
-
-TEST(SimdGateKernels, SplatRowMatchesScalarLoop) {
-  // Row of 11 voxels straddling the cutoff: lanes inside accumulate
-  // exp() terms, lanes outside must keep their previous bits exactly
-  // (including -0.0 and a NaN poison value — a masked add of 0.0 would
-  // corrupt both).
-  const std::int64_t n = 11, i0 = 5;
-  const float org_x = -1.0f, sp_x = 0.25f, px = 0.6f;
-  const float dy2 = 0.09f, dz2 = 0.04f;
-  const float cutoff2 = 0.5f, inv_2s2 = 3.0f;
-
-  std::vector<float> init(static_cast<std::size_t>(n));
-  for (std::size_t i = 0; i < init.size(); ++i) init[i] = 0.001f * float(i);
-  init[0] = -0.0f;
-  init[10] = kQnan;
-
-  std::vector<float> ref = init;
-  std::int64_t ref_updates = 0;
-  for (std::int64_t i = 0; i < n; ++i) {
-    const float gx = org_x + sp_x * float(i0 + i);
-    const float ddx = gx - px;
-    const float d2 = (ddx * ddx + dy2) + dz2;
-    if (d2 > cutoff2) continue;
-    ref[std::size_t(i)] += std::exp(-d2 * inv_2s2);
-    ++ref_updates;
-  }
-  ASSERT_GT(ref_updates, 0);
-  ASSERT_LT(ref_updates, n); // both sides of the cutoff are exercised
-
-  for (const simd::KernelTable* table : vector_tables()) {
-    std::vector<float> acc = init;
-    std::int64_t updates = 100; // kernel must add, not assign
-    table->splat_row(acc.data(), i0, n, org_x, sp_x, px, dy2, dz2, cutoff2,
-                     inv_2s2, updates);
-    EXPECT_EQ(updates, 100 + ref_updates) << table->name;
-    EXPECT_TRUE(bits_equal(acc.data(), ref.data(), acc.size())) << table->name;
-  }
-}
-
 // ------------------------------------------------- full-harness sweeps
 
 /// Keep the artifact cache out of the comparison: a cached BVH or
@@ -590,8 +211,7 @@ ExperimentSpec xrage_spec() {
 }
 
 std::vector<SweepPoint> sampling_sweep(const ExperimentSpec& base) {
-  // ratio 0.5 routes the grid/point data through SpatialSampler, whose
-  // stride rows run the stride_copy kernel.
+  // ratio 0.5 routes the grid/point data through SpatialSampler.
   return sweep_over<double>(
       base, {1.0, 0.5},
       [](const double& r) { return strprintf("s%.2f", r); },

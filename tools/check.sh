@@ -45,10 +45,10 @@ unbuilt="$(comm -23 <(echo "${named_benches}") <(echo "${built_benches}"))"
 echo "==== cache equivalence (build-release) ===="
 ctest --test-dir build-release --output-on-failure --no-tests=error -R 'CacheEquivalence'
 
-# SimdGate (DESIGN.md §14): the lane layer promises every image,
+# SimdGate (DESIGN.md §14): the BVH leaf kernel promises every image,
 # counter table and robustness row bit-identical across ETH_SIMD=scalar
-# and native at any thread count. The suite carries per-kernel unit
-# vectors (edge masks, tail elements, NaN payloads) plus HACC+xRAGE
+# and native at any thread count. The suite carries the kernel's unit
+# vectors (tail elements, misses, NaN centers) plus HACC+xRAGE
 # mini-sweeps memcmp'd scalar-vs-native at 1 and 8 threads; the tests
 # pin the ISA internally, so one pass covers every dispatch path the
 # host supports. Run it by name so a filter typo can't silently skip it.
@@ -103,11 +103,11 @@ echo "==== trace tests (build-tsan) ===="
 ETH_THREADS="${ETH_THREADS:-4}" TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
   ctest --test-dir build-tsan --output-on-failure --no-tests=error -R 'Trace'
 
-# SimdGate under TSan: the vector march and blend kernels run inside
-# the same pool fan-out as the scalar paths, and the dispatch table is
-# resolved once per process from the environment — the sanitizer
-# confirms neither the per-ISA kernel tables nor the override hook
-# introduce shared mutable state between pool workers.
+# SimdGate under TSan: the vector leaf kernel runs inside the same
+# pool fan-out as the scalar path, and the dispatch table is resolved
+# once per process from the environment — the sanitizer confirms
+# neither the per-ISA kernel tables nor the override hook introduce
+# shared mutable state between pool workers.
 echo "==== simd gate (build-tsan) ===="
 ETH_THREADS="${ETH_THREADS:-4}" TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
   ctest --test-dir build-tsan --output-on-failure --no-tests=error -R 'SimdGate'
@@ -202,7 +202,9 @@ rm -f "${async_json}"
 # and Knobs (the strict parser's overflow arithmetic) ride along. The
 # xRAGE generator's row kernel reads its noise tables through 32-bit
 # offsets and raw row pointers, so it runs here with the block
-# partition it is fed (GridBlockRange, BlockFactorization).
+# partition it is fed (GridBlockRange, BlockFactorization). Experiment
+# configs are untrusted input too, so the config parser and the spec
+# validator run here (SpecConfig, ExperimentSpec).
 asan_variant() {
   local dir="build-asan"
   echo "==== configure ${dir} (address + undefined sanitizer) ===="
@@ -212,7 +214,7 @@ asan_variant() {
   cmake --build "${dir}" -j "${jobs}"
   echo "==== test ${dir} (data + insitu + buffer suites) ===="
   ctest --test-dir "${dir}" --output-on-failure --no-tests=error \
-    -R 'Buffer|CowArray|DataPlane|WireMessage|PerfCounters|RunSink|Serialize|GoldenWireFormat|InProc|Socket|Fault|Frame|Transport|LzCodec|CodecEquivalence|QuantizePack|CompressDataset|XrageGenerator|GridBlockRange|BlockFactorization|VtkIo|DumpTest|SphereBVH|BvhProperty|HaccGenerator|PointSet|Rng|Fingerprint|Knobs'
+    -R 'Buffer|CowArray|DataPlane|WireMessage|PerfCounters|RunSink|Serialize|GoldenWireFormat|InProc|Socket|Fault|Frame|Transport|LzCodec|CodecEquivalence|QuantizePack|CompressDataset|XrageGenerator|GridBlockRange|BlockFactorization|VtkIo|DumpTest|SphereBVH|BvhProperty|HaccGenerator|PointSet|Rng|Fingerprint|Knobs|SpecConfig|ExperimentSpec'
 }
 ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1}" asan_variant
 
